@@ -90,17 +90,6 @@ class BlackBoxConfig:
         for labels in itertools.product(range(4), repeat=n):
             yield cls.from_labels(labels)
 
-    def xor(self, other: "BlackBoxConfig") -> "BlackBoxConfig":
-        """Bitwise-XOR combination; black boxes compose to this up to phase."""
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return BlackBoxConfig(
-            tuple(
-                BooleanFunction(a.f0 ^ b.f0, a.f1 ^ b.f1)
-                for a, b in zip(self.functions, other.functions)
-            )
-        )
-
     def __str__(self) -> str:
         return ",".join(str(f) for f in self.functions)
 
@@ -144,8 +133,3 @@ def parse_config(text: str) -> BlackBoxConfig:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"bad config line {lineno}: {raw!r}") from exc
     return BlackBoxConfig(tuple(functions))
-
-
-def format_config(cfg: BlackBoxConfig) -> str:
-    """Inverse of :func:`parse_config`, label form."""
-    return "".join(f"y{f.label}\n" for f in cfg.functions)

@@ -22,13 +22,13 @@ from .blackbox import BlackBoxConfig
 from .pauli import SignedObservable
 from .stabilizer import StabilizerTableau
 
-_MASK64 = (1 << 64) - 1
-
-
 def philox_rng(seed: int, substream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed on (seed, substream): streams for
-    different substreams never overlap, whatever order they are drawn in."""
-    key = np.array([seed & _MASK64, substream & _MASK64], dtype=np.uint64)
+    different substreams never overlap, whatever order they are drawn in.
+    Both keys must lie in [0, 2^64), so that distinct keys never alias."""
+    if not (0 <= seed < 1 << 64 and 0 <= substream < 1 << 64):
+        raise ValueError(f"seed {seed}, substream {substream}: not in [0, 2^64)")
+    key = np.array([seed, substream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -206,8 +206,8 @@ def decay_study(
         raise ValueError(f"trials must be >= 1, got {trials}")
     rows = []
     for stream_index, length in enumerate(run_lengths):
-        if length < 1:
-            raise ValueError(f"run length must be >= 1, got {length}")
+        if not 1 <= length < 1 << 63:  # numpy draws binomials of int64 size
+            raise ValueError(f"run length must lie in [1, 2^63), got {length}")
         rng = philox_rng(seed, stream_index)
         dep_plus = rng.binomial(length, 1.0 - q, size=trials)
         ind_plus = rng.binomial(length, 0.5, size=trials)

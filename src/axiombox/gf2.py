@@ -230,24 +230,32 @@ def rank(matrix: BitMatrix) -> int:
     return len(_echelon(matrix))
 
 
+def _reduce(mask: int, pivots: list) -> tuple:
+    """``(residue, combo)`` of ``mask`` against :func:`_echelon` pivots: residue
+    0 means ``mask`` is in the row span, and ``combo`` names rows summing to it."""
+    combo = 0
+    for col, pm, pc in pivots:
+        if (mask >> col) & 1:
+            mask ^= pm
+            combo ^= pc
+    return mask, combo
+
+
 def in_span(v: BitVector, basis: BitMatrix) -> Optional[BitVector]:
     """Coefficients k with ``sum_p k_p * basis_row_p == v`` (mod 2), or None.
 
     When the basis rows are linearly independent the coefficient vector is
     unique; otherwise the deterministic echelon form fixes which of the
-    equivalent solutions is returned.
+    equivalent solutions is returned.  Each call eliminates ``basis`` afresh;
+    callers that test many vectors against one basis keep the pivots of one
+    :func:`_echelon` and :func:`_reduce` against them.
     """
     if len(v) != basis.num_cols:
         raise ValueError(
             f"dimension mismatch: vector length {len(v)}, "
             f"basis has {basis.num_cols} columns"
         )
-    residue = v.mask
-    combo = 0
-    for col, pm, pc in _echelon(basis):
-        if (residue >> col) & 1:
-            residue ^= pm
-            combo ^= pc
+    residue, combo = _reduce(v.mask, _echelon(basis))
     if residue:
         return None
     return BitVector.from_mask(combo, basis.num_rows)

@@ -20,8 +20,8 @@ from . import blackbox as bb
 from . import pauli
 from . import stabilizer as stab
 from .blackbox import BlackBoxConfig
-from .gf2 import BitMatrix, BitVector, in_span, rank, symplectic_product
-from .pauli import PauliOperator, SignedObservable
+from .gf2 import BitMatrix, BitVector, _reduce
+from .pauli import SignedObservable
 from .stabilizer import MeasurementKind, StabilizerTableau
 
 ENUMERATION_CAP = 8
@@ -58,32 +58,21 @@ class AxiomSet:
 
     Vectors must be pairwise symplectically orthogonal and GF(2)-independent,
     i.e. they must describe a co-measurable, information-complete axiom
-    system for N qubits.
+    system for N qubits.  The independence check (:func:`stabilizer.check_axioms`)
+    is the one elimination of the axiom matrix: :func:`classify` and
+    :func:`enumerate_propositions` only reduce against its kept pivots.
     """
 
-    __slots__ = ("_vectors", "_parities")
+    __slots__ = ("_vectors", "_parities", "_pivots")
 
     def __init__(self, vectors: Sequence[BitVector], parities: Sequence[int]):
         vectors = tuple(vectors)
         parities = tuple(int(b) for b in parities)
-        if not vectors:
-            raise ValueError("empty axiom set")
         if len(vectors) != len(parities):
             raise ValueError("one parity bit per axiom vector required")
         if any(b not in (0, 1) for b in parities):
             raise ValueError("parities must be bits")
-        two_n = len(vectors[0])
-        n = two_n // 2
-        if two_n % 2 or len(vectors) != n:
-            raise ValueError(f"need exactly {n} vectors of length {two_n}")
-        if any(len(v) != two_n for v in vectors):
-            raise ValueError("axiom vectors have inconsistent lengths")
-        for p in range(n):
-            for q in range(p + 1, n):
-                if symplectic_product(vectors[p], vectors[q]):
-                    raise ValueError("axioms not co-measurable")
-        if rank(BitMatrix(vectors, num_cols=two_n)) != n:
-            raise ValueError("axioms not independent")
+        self._pivots = stab.check_axioms(vectors, BitMatrix)
         self._vectors = vectors
         self._parities = parities
 
@@ -160,23 +149,18 @@ def classify(j: Proposition, axioms: AxiomSet) -> DependenceReport:
             f"length mismatch: proposition {len(j.vector)}, "
             f"axioms expect {2 * axioms.n_qubits}"
         )
-    coeffs = in_span(j.vector, axioms.matrix())
-    if coeffs is None:
+    residue, combo = _reduce(j.vector.mask, axioms._pivots)
+    if residue:
         return DependenceReport(dependent=False)
+    coeffs = BitVector.from_mask(combo, axioms.n_qubits)
+    factors = [
+        pauli.from_proposition(v).base for k, v in zip(coeffs, axioms.vectors) if k
+    ]
     return DependenceReport(
         dependent=True,
         coefficients=coeffs,
-        phase_bit=_phase_bit(j, axioms, coeffs),
+        phase_bit=pauli.phase_bit(j.observable().base, factors),
     )
-
-
-def _phase_bit(j: Proposition, axioms: AxiomSet, coeffs: BitVector) -> int:
-    product = PauliOperator.identity(axioms.n_qubits)
-    for k, v in zip(coeffs, axioms.vectors):
-        if k:
-            product = pauli.multiply(product, pauli.from_proposition(v).base)
-    delta = (j.observable().base.phase - product.phase) % 4
-    return delta // 2
 
 
 def classical_truth(j: Proposition, axioms: AxiomSet) -> Optional[int]:
@@ -192,8 +176,6 @@ def classical_truth(j: Proposition, axioms: AxiomSet) -> Optional[int]:
 
 def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
     """Truth bit b from a definite measurement outcome (-1)^b, or None."""
-    if j.n_qubits != state.n_qubits:
-        raise ValueError(f"size mismatch: {j.n_qubits} vs {state.n_qubits} qubits")
     result = stab.measure_forced(state, j.observable(), 1)
     if result.kind is not MeasurementKind.DETERMINISTIC:
         return None
@@ -212,12 +194,9 @@ def enumerate_propositions(
         raise ValueError(f"n={n} exceeds the enumeration cap of {cap}")
     if axioms.n_qubits != n:
         raise ValueError(f"axiom set is for {axioms.n_qubits} qubits, not {n}")
-    matrix = axioms.matrix()
-    dependent = 0
-    for mask in range(4 ** n):
-        v = BitVector.from_mask(mask, 2 * n)
-        if in_span(v, matrix) is not None:
-            dependent += 1
+    dependent = sum(
+        1 for mask in range(4 ** n) if not _reduce(mask, axioms._pivots)[0]
+    )
     return PropositionCounts(dependent, 4 ** n - dependent)
 
 

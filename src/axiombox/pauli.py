@@ -63,9 +63,6 @@ class PauliOperator:
         """The 2N-bit symplectic (x|z) vector; the phase is dropped."""
         return BitVector.concat(self._x, self._z)
 
-    def is_identity_base(self) -> bool:
-        return self._x.is_zero() and self._z.is_zero()
-
     def is_hermitian(self) -> bool:
         """True iff the operator equals its own adjoint."""
         return (self._phase - (self._x & self._z).weight()) % 2 == 0
@@ -98,6 +95,17 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
         raise ValueError(f"size mismatch: {p.n_qubits} vs {q.n_qubits}")
     swaps = (p.z & q.x).weight()
     return PauliOperator(p.x ^ q.x, p.z ^ q.z, p.phase + q.phase + 2 * swaps)
+
+
+def phase_bit(target: PauliOperator, factors: list) -> int:
+    """The bit c with ``target = (-1)^c * prod(factors)``, for Hermitian target
+    and commuting Hermitian factors whose product has target's (x|z) pattern."""
+    product = PauliOperator.identity(target.n_qubits)
+    for f in factors:
+        product = multiply(product, f)
+    if product.vector != target.vector:  # the rank-N invariant broke
+        raise AssertionError("observable not in generator span")
+    return (target.phase - product.phase) % 4 // 2
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> int:
@@ -213,7 +221,7 @@ def parse_observable(text: str) -> SignedObservable:
     """Parse signed Pauli notation such as "-YYX" or "+ZZI" or "XX"."""
     s = text.strip()
     sign = 1
-    if s[:1] in "+-":
+    if s[:1] in ("+", "-"):
         sign = -1 if s[0] == "-" else 1
         s = s[1:].strip()
     if not s:

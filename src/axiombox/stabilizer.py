@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import pauli
 from .blackbox import BlackBoxConfig
 from .gf2 import (
     BitMatrix,
     BitVector,
+    _echelon,
+    _reduce,
     in_span,
     nullspace,
     rank,
@@ -159,18 +161,6 @@ class OutcomeDistribution:
     def support(self) -> list:
         return sorted(s for s, p in self._outcomes.items() if p > 0.0)
 
-    def dense_items(self) -> list:
-        """All 2^m sign-vectors with their probabilities, zeros included,
-        in (+ before -) lexicographic order."""
-        items = []
-        for index in range(2 ** self._num_observables):
-            signs = tuple(
-                -1 if (index >> (self._num_observables - 1 - k)) & 1 else 1
-                for k in range(self._num_observables)
-            )
-            items.append((signs, self.probability(signs)))
-        return items
-
     def max_deviation(self, other: "OutcomeDistribution") -> float:
         """Largest absolute probability difference over all sign-vectors."""
         if self._num_observables != other._num_observables:
@@ -194,85 +184,61 @@ class OutcomeDistribution:
         return f"OutcomeDistribution({{{body}}})"
 
 
+def check_axioms(vectors: Sequence[BitVector], matrix: Callable[..., BitMatrix]) -> list:
+    """Raise ValueError unless ``vectors`` are N pairwise-commuting,
+    independent 2N-bit vectors; return the :func:`gf2._echelon` pivots of
+    ``matrix(vectors)`` (a matrix of their rank), kept by the caller so that
+    the system is eliminated only once."""
+    if not vectors:
+        raise ValueError("empty axiom list")
+    two_n = len(vectors[0])
+    n = two_n // 2
+    if two_n % 2 or len(vectors) != n:
+        raise ValueError(f"need exactly {n} axioms of length {two_n}, got {len(vectors)}")
+    if any(len(v) != two_n for v in vectors):
+        raise ValueError("axiom vectors have inconsistent lengths")
+    for p, v in enumerate(vectors):
+        if any(symplectic_product(v, w) for w in vectors[p + 1 :]):
+            raise ValueError("axioms not co-measurable")
+    pivots = _echelon(matrix(vectors))
+    if len(pivots) != n:
+        raise ValueError("axioms not independent")
+    return pivots
+
+
 def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
     """Tableau for the joint eigenstate of the given signed axiom observables.
 
     ``axioms`` is a list of (2N-bit vector, sign) pairs: exactly N of them,
-    pairwise symplectically orthogonal and GF(2)-independent.  Destabilizers
-    are synthesized by solving the symplectic pairing constraints.
+    pairwise symplectically orthogonal and GF(2)-independent.  The one
+    elimination, run by :func:`check_axioms` on the transposed pairing matrix
+    (row q of the pairing matrix dotted with d is <d, g_q>), checks
+    independence, and reducing each unit vector e_p against its pivots gives
+    the destabilizer d_p with <d_p, g_q> = delta_pq.
     """
-    if not axioms:
-        raise ValueError("empty axiom list")
     vectors = [v for v, _ in axioms]
     signs = [s for _, s in axioms]
     if any(s not in (1, -1) for s in signs):
         raise ValueError("axiom signs must be +1 or -1")
-    two_n = len(vectors[0])
-    if two_n % 2:
-        raise ValueError(f"axiom vectors must have even length, got {two_n}")
-    n = two_n // 2
-    if len(vectors) != n:
-        raise ValueError(f"need exactly {n} axioms for {n} qubits, got {len(vectors)}")
-    for v in vectors:
-        if len(v) != two_n:
-            raise ValueError("axiom vectors have inconsistent lengths")
-    for p in range(n):
-        for q in range(p + 1, n):
-            if symplectic_product(vectors[p], vectors[q]):
-                raise ValueError("axioms not co-measurable")
-    if rank(BitMatrix(vectors, num_cols=two_n)) != n:
-        raise ValueError("axioms not independent")
-
+    pivots = check_axioms(
+        vectors, lambda vs: BitMatrix([swap_halves(v) for v in vs]).transpose()
+    )
     generators = [
         SignedObservable(pauli.from_proposition(v).base, s)
         for v, s in zip(vectors, signs)
     ]
-    destabilizers = _synthesize_destabilizers(vectors)
-    return StabilizerTableau(generators, destabilizers)
-
-
-def _synthesize_destabilizers(vectors: Sequence[BitVector]) -> list:
-    """Find d_p with <d_p, g_q> = delta_pq by GF(2) elimination."""
-    n = len(vectors)
-    pairing = BitMatrix([swap_halves(v) for v in vectors])  # row q . d = <d, g_q>
-    columns = pairing.transpose()
+    two_n = 2 * len(vectors)
     destabilizers = []
-    for p in range(n):
-        coeffs = in_span(BitVector.unit(p, n), columns)
-        if coeffs is None:  # impossible for independent generators
-            raise AssertionError("destabilizer synthesis failed; rank invariant broken")
-        x, z = coeffs.halves()
-        destabilizers.append(PauliOperator(x, z, (x & z).weight() % 4))
-    return destabilizers
+    for p in range(len(vectors)):
+        _, d = _reduce(1 << p, pivots)
+        destabilizers.append(pauli.from_proposition(BitVector.from_mask(d, two_n)).base)
+    return StabilizerTableau(generators, destabilizers)
 
 
 def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTableau:
     """Conjugate every generator; only signs can change."""
-    if t.n_qubits != cfg.n:
-        raise ValueError(f"size mismatch: {t.n_qubits} qubits vs {cfg.n} functions")
     new_gens = [pauli.conjugate_by_blackbox(g, cfg) for g in t.generators]
     return StabilizerTableau(new_gens, t.destabilizers)
-
-
-def _deterministic_outcome(t: StabilizerTableau, obs: SignedObservable) -> int:
-    """Outcome when obs commutes with every generator.
-
-    The destabilizer pairing reads off the coefficients k_p of
-    ``base(obs) = i^{2c} * prod_p base(g_p)^{k_p}``; the phase-exact product
-    then yields c and the outcome ``obs.sign * (-1)^c * prod_p sign(g_p)^{k_p}``.
-    """
-    ov = obs.vector
-    product = PauliOperator.identity(t.n_qubits)
-    sign_product = 1
-    for g, d in zip(t.generators, t.destabilizers):
-        if symplectic_product(ov, d.vector):
-            product = pauli.multiply(product, g.base)
-            sign_product *= g.sign
-    if product.vector != ov:  # can only happen if the rank-N invariant broke
-        raise AssertionError("observable not in generator span despite commuting")
-    delta = (obs.base.phase - product.phase) % 4
-    phase_flip = -1 if delta == 2 else 1
-    return obs.sign * phase_flip * sign_product
 
 
 def _collapse(
@@ -307,23 +273,7 @@ def measure(
     each, drawn from ``rng`` (a ``numpy.random.Generator`` or anything with
     a ``random()`` method); the module never owns a seed.
     """
-    if obs.n_qubits != t.n_qubits:
-        raise ValueError(f"size mismatch: {obs.n_qubits} vs {t.n_qubits} qubits")
-    ov = obs.vector
-    anticommuting = [
-        p
-        for p, g in enumerate(t.generators)
-        if symplectic_product(ov, g.vector)
-    ]
-    if not anticommuting:
-        return MeasurementResult(
-            _deterministic_outcome(t, obs), MeasurementKind.DETERMINISTIC, t
-        )
-    if rng is None:
-        raise ValueError("random measurement outcome requires an rng")
-    outcome = 1 if rng.random() < 0.5 else -1
-    post = _collapse(t, obs, anticommuting, outcome)
-    return MeasurementResult(outcome, MeasurementKind.RANDOM, post)
+    return _measure(t, obs, rng, None)
 
 
 def measure_forced(
@@ -335,6 +285,14 @@ def measure_forced(
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    return _measure(t, obs, None, outcome)
+
+
+def _measure(
+    t: StabilizerTableau, obs: SignedObservable, rng, outcome
+) -> MeasurementResult:
+    """The one body of :func:`measure` and :func:`measure_forced`; a random
+    branch draws from ``rng`` when ``outcome`` is None."""
     if obs.n_qubits != t.n_qubits:
         raise ValueError(f"size mismatch: {obs.n_qubits} vs {t.n_qubits} qubits")
     ov = obs.vector
@@ -344,9 +302,22 @@ def measure_forced(
         if symplectic_product(ov, g.vector)
     ]
     if not anticommuting:
-        return MeasurementResult(
-            _deterministic_outcome(t, obs), MeasurementKind.DETERMINISTIC, t
-        )
+        # The destabilizer pairing picks the generators g_p with
+        # base(obs) = (-1)^c * prod_p base(g_p); the outcome follows exactly.
+        factors = [
+            g
+            for g, d in zip(t.generators, t.destabilizers)
+            if symplectic_product(ov, d.vector)
+        ]
+        c = pauli.phase_bit(obs.base, [g.base for g in factors])
+        definite = obs.sign * (-1) ** c
+        for g in factors:
+            definite *= g.sign
+        return MeasurementResult(definite, MeasurementKind.DETERMINISTIC, t)
+    if outcome is None:
+        if rng is None:
+            raise ValueError("random measurement outcome requires an rng")
+        outcome = 1 if rng.random() < 0.5 else -1
     post = _collapse(t, obs, anticommuting, outcome)
     return MeasurementResult(outcome, MeasurementKind.RANDOM, post)
 
@@ -384,6 +355,24 @@ def joint_distribution(
     return OutcomeDistribution(outcomes, len(obs_list))
 
 
+def _random_orthogonal(vectors: Sequence[BitVector], two_n: int, rng) -> BitVector:
+    """Uniform random element of the symplectic complement of ``vectors``."""
+    complement = nullspace(
+        BitMatrix([swap_halves(v) for v in vectors], num_cols=two_n)
+    )
+    mask = 0
+    if complement:
+        picks = rng.integers(0, 2, size=len(complement))
+        for bit, basis_vec in zip(picks, complement):
+            if bit:
+                mask ^= basis_vec.mask
+    return BitVector.from_mask(mask, two_n)
+
+
+def _random_sign(rng) -> int:
+    return 1 if rng.integers(0, 2) == 0 else -1
+
+
 def random_axioms(n: int, rng) -> list:
     """A uniformly-flavored random valid axiom set: N signed 2N-bit vectors,
     pairwise symplectically orthogonal and independent.
@@ -395,22 +384,13 @@ def random_axioms(n: int, rng) -> list:
     two_n = 2 * n
     vectors: List[BitVector] = []
     while len(vectors) < n:
-        if vectors:
-            complement = nullspace(BitMatrix([swap_halves(v) for v in vectors]))
-        else:
-            complement = [BitVector.unit(i, two_n) for i in range(two_n)]
-        picks = rng.integers(0, 2, size=len(complement))
-        mask = 0
-        for bit, basis_vec in zip(picks, complement):
-            if bit:
-                mask ^= basis_vec.mask
-        candidate = BitVector.from_mask(mask, two_n)
+        candidate = _random_orthogonal(vectors, two_n, rng)
         if candidate.is_zero():
             continue
         if vectors and in_span(candidate, BitMatrix(vectors, num_cols=two_n)) is not None:
             continue
         vectors.append(candidate)
-    return [(v, 1 if rng.integers(0, 2) == 0 else -1) for v in vectors]
+    return [(v, _random_sign(rng)) for v in vectors]
 
 
 def random_commuting_observables(n: int, count: int, rng) -> list:
@@ -419,23 +399,10 @@ def random_commuting_observables(n: int, count: int, rng) -> list:
     Unlike :func:`random_axioms`, linear dependence (and even the identity)
     is allowed; the list only has to be co-measurable.
     """
-    two_n = 2 * n
     vectors: List[BitVector] = []
     while len(vectors) < count:
-        if vectors:
-            complement = nullspace(BitMatrix([swap_halves(v) for v in vectors]))
-        else:
-            complement = [BitVector.unit(i, two_n) for i in range(two_n)]
-        mask = 0
-        if complement:
-            picks = rng.integers(0, 2, size=len(complement))
-            for bit, basis_vec in zip(picks, complement):
-                if bit:
-                    mask ^= basis_vec.mask
-        vectors.append(BitVector.from_mask(mask, two_n))
-    observables = []
-    for v in vectors:
-        sign = 1 if rng.integers(0, 2) == 0 else -1
-        base = pauli.from_proposition(v).base
-        observables.append(SignedObservable(base, sign))
-    return observables
+        vectors.append(_random_orthogonal(vectors, 2 * n, rng))
+    return [
+        SignedObservable(pauli.from_proposition(v).base, _random_sign(rng))
+        for v in vectors
+    ]

@@ -41,11 +41,6 @@ class TestBlackBoxConfig:
     def test_all_configs_count(self):
         assert len(list(BlackBoxConfig.all_configs(2))) == 16
 
-    def test_xor_combination(self):
-        a = BlackBoxConfig.from_labels([3, 1])
-        b = BlackBoxConfig.from_labels([2, 1])
-        assert a.xor(b) == BlackBoxConfig.from_labels([1, 0])
-
 
 class TestPropositionTruth:
     def test_f0_proposition(self):
@@ -139,7 +134,3 @@ class TestConfigFiles:
             bb.parse_config("0 1 1\n")
         with pytest.raises(ValueError):
             bb.parse_config("y7\n")
-
-    def test_format_roundtrip(self):
-        cfg = BlackBoxConfig.from_labels([0, 3, 2])
-        assert bb.parse_config(bb.format_config(cfg)) == cfg

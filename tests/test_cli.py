@@ -37,6 +37,36 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "--axioms", "/nonexistent", "--prop", "XX")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--state", "{bell}", "--obs", "ZI,"],
+            ["sample", "--state", "{bell}", "--obs", ",ZI"],
+            ["measure", "--state", "{bell}", "--obs", ""],
+            ["check", "--axioms", "{bell}", "--prop", ""],
+        ],
+    )
+    def test_empty_pauli_token_is_exit_one(self, tmp_path, capsys, argv):
+        bell = tmp_path / "bell.tab"
+        bell.write_text(BELL_AXIOM_FILE)
+        code, out, err = run(capsys, *[a.format(bell=bell) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: empty Pauli string") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_exit_one(self, capsys, seed):
+        code, out, err = run(capsys, "q1-demo", "--runs", "10", "--seed", seed)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: seed ") and err.count("\n") == 1
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "q1-demo", "--runs", "10",
+                           "--seed", "18446744073709551615")
+        assert code == 0
+        assert "seed=18446744073709551615" in out
+
 
 class TestPrepareAndBlackbox:
     def test_prepare_roundtrip(self, tmp_path, capsys):
@@ -187,6 +217,12 @@ class TestDecayStudy:
         lines = out.splitlines()
         assert lines[1].startswith("run_length\t")
         assert len(lines) == 2 + 2
+
+    def test_run_length_beyond_int64_rejected(self, capsys):
+        code, _, err = run(capsys, "decay-study", "--lengths", "10,99999999999999999999",
+                           "--trials", "10")
+        assert code == 1
+        assert "run length" in err
 
     def test_degenerate_noise_rejected(self, capsys):
         code, _, err = run(capsys, "decay-study", "--noise", "0.3",

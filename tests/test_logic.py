@@ -160,6 +160,17 @@ class TestEnumerate:
             results.add(tuple(logic.enumerate_propositions(2, axioms)))
         assert results == {(4, 12)}
 
+    def test_reuses_the_axiom_set_elimination(self, monkeypatch):
+        axioms = ghz_axiom_set()
+
+        def no_elimination(*args):
+            raise AssertionError("eliminated again")
+
+        monkeypatch.setattr(stab, "_echelon", no_elimination)
+        monkeypatch.setattr("axiombox.gf2._echelon", no_elimination)
+        assert tuple(logic.enumerate_propositions(3, axioms)) == (8, 56)
+        assert logic.classify(prop("XXX"), axioms).dependent
+
     def test_cap(self):
         axioms = AxiomSet([BitVector("01")], [0])
         with pytest.raises(ValueError, match="cap"):

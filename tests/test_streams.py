@@ -1,0 +1,79 @@
+"""Pinned random streams, destabilizers and seeded CLI outputs.
+
+The golden values below were recorded before the exact core was folded onto
+one elimination per axiom system; they must never change unless a change of
+stream is intended and announced.
+"""
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from axiombox import cli
+from axiombox import stabilizer as stab
+from axiombox.experiment import philox_rng
+from axiombox.gf2 import BitMatrix, BitVector, in_span, swap_halves
+from axiombox.pauli import PauliOperator
+
+
+def masks(pairs):
+    return [(v.mask, s) for v, s in pairs]
+
+
+def cli_output(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+class TestPinnedStreams:
+    def test_random_axioms(self):
+        assert masks(stab.random_axioms(4, philox_rng(2024))) == [
+            (186, 1), (53, -1), (97, 1), (233, 1),
+        ]
+        assert masks(stab.random_axioms(7, philox_rng(3, 9))) == [
+            (2080, -1), (4923, 1), (14000, -1), (941, -1),
+            (11496, -1), (3621, -1), (2564, 1),
+        ]
+
+    def test_random_commuting_observables(self):
+        observables = stab.random_commuting_observables(4, 5, philox_rng(2024))
+        assert [(o.vector.mask, o.sign) for o in observables] == [
+            (186, -1), (53, 1), (97, 1), (233, 1), (50, 1),
+        ]
+
+    def test_prepared_tableau(self):
+        tableau = stab.prepare(stab.random_axioms(4, philox_rng(2024)))
+        assert tableau.to_text() == "+ZYIY\n-YZXI\n+XZZI\n+XZZY\n"
+        assert [(d.vector.mask, d.phase) for d in tableau.destabilizers] == [
+            (21, 1), (20, 0), (25, 1), (29, 1),
+        ]
+
+    def test_q1_demo_output(self):
+        out = cli_output("q1-demo", "--labels", "y1", "--runs", "200",
+                         "--seed", "5", "--noise", "0.1")
+        counts = [int(line.split(",")[3]) for line in out.splitlines()[2:]]
+        assert out.splitlines()[0] == "# q1-demo config=y1 runs=200 seed=5 flip_prob=0.1"
+        assert counts == [
+            178, 22, 92, 108, 101, 99,
+            97, 103, 23, 177, 90, 110,
+            115, 85, 100, 100, 11, 189,
+        ]
+
+    def test_oracle_compare_output(self):
+        out = cli_output("oracle-compare", "--n", "3", "--trials", "10", "--seed", "7")
+        assert out == "trials: 10\nmax_deviation: 1.110e-16\nverdict: agree\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 32, 64])
+def test_destabilizers_match_per_unit_vector_solve(n):
+    """Each d_p equals the solution of <d, g_q> = delta_pq that a separate
+    ``in_span`` of e_p against the transposed pairing matrix gives."""
+    axioms = stab.random_axioms(n, philox_rng(n, 17))
+    columns = BitMatrix([swap_halves(v) for v, _ in axioms]).transpose()
+    tableau = stab.prepare(axioms)
+    for p, d in enumerate(tableau.destabilizers):
+        x, z = in_span(BitVector.unit(p, n), columns).halves()
+        assert d == PauliOperator(x, z, (x & z).weight() % 4)
+    tableau.check_invariants()
