@@ -84,7 +84,7 @@ def cmd_check(args) -> int:
         _write_output("independent\n", args.out)
         return 0
     state = stab.prepare(axioms.generator_pairs())
-    classical = logic.classical_truth(prop, axioms)
+    classical = report.classical_truth
     quantum = logic.quantum_truth(prop, state)
     k = ",".join(str(bit) for bit in report.coefficients)
     _write_output(
@@ -126,6 +126,8 @@ def cmd_enumerate(args) -> int:
         n = args.n
         if n is None:
             raise ValueError("enumerate needs --n or --axioms")
+        if not 1 <= n <= logic.ENUMERATION_CAP:
+            raise ValueError(f"--n must lie in [1, {logic.ENUMERATION_CAP}], got {n}")
         # Default axiom system: one z observable per qubit.
         observables = [
             pauli.parse_observable("I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)
@@ -172,6 +174,8 @@ def cmd_q2_demo(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    if not 1 <= args.n <= oracle.DENSE_CAP:
+        raise ValueError(f"--n must lie in [1, {oracle.DENSE_CAP}], got {args.n}")
     rng = xp.philox_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

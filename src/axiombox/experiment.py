@@ -22,6 +22,9 @@ from .blackbox import BlackBoxConfig
 from .pauli import SignedObservable
 from .stabilizer import StabilizerTableau
 
+_RUN_CAP = 10 ** 6  # most runs per record or trials per length, so arrays stay small
+
+
 def philox_rng(seed: int, substream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed on (seed, substream): streams for
     different substreams never overlap, whatever order they are drawn in.
@@ -130,8 +133,8 @@ def sample(
     sampled, and then every outcome bit is flipped independently with
     probability ``noise.flip_prob``.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if not 1 <= n_runs <= _RUN_CAP:
+        raise ValueError(f"n_runs must lie in [1, {_RUN_CAP}], got {n_runs}")
     if not observables:
         raise ValueError("at least one observable is required")
     noise = noise or NoiseModel()
@@ -202,8 +205,8 @@ def decay_study(
     dep_margin = 0.5 - q - threshold
     if q >= threshold or dep_margin <= 0:
         raise ValueError("indistinguishable regime")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= _RUN_CAP:
+        raise ValueError(f"trials must lie in [1, {_RUN_CAP}], got {trials}")
     rows = []
     for stream_index, length in enumerate(run_lengths):
         if not 1 <= length < 1 << 63:  # numpy draws binomials of int64 size

@@ -111,9 +111,6 @@ class BitVector:
     def parity(self) -> int:
         return self._mask.bit_count() & 1
 
-    def is_zero(self) -> bool:
-        return self._mask == 0
-
     def to_tuple(self) -> tuple:
         return tuple(self)
 
@@ -167,9 +164,6 @@ class BitMatrix:
     @property
     def row_masks(self) -> tuple:
         return self._rows
-
-    def row(self, i: int) -> BitVector:
-        return BitVector.from_mask(self._rows[i], self._num_cols)
 
     def __iter__(self) -> Iterator[BitVector]:
         for m in self._rows:

@@ -124,16 +124,16 @@ class AxiomSet:
 class DependenceReport:
     """Classification of one proposition against one axiom set.
 
-    ``coefficients`` and the truth fields are populated only for dependent
-    propositions; ``phase_bit`` is the operator-level sign c in
+    ``coefficients``, ``classical_truth`` (the parity combination
+    sum_p k_p * t_p of the axiom truths) and ``phase_bit`` are set only for
+    dependent propositions; ``phase_bit`` is the operator-level sign c in
     ``Theta = (-1)^c * prod_p Omega_p^{k_p}`` and witnesses any divergence
-    between the two truth values.
+    between the classical and the quantum truth value.
     """
 
     dependent: bool
     coefficients: Optional[BitVector] = None
     classical_truth: Optional[int] = None
-    quantum_truth: Optional[int] = None
     phase_bit: Optional[int] = None
 
 
@@ -159,19 +159,14 @@ def classify(j: Proposition, axioms: AxiomSet) -> DependenceReport:
     return DependenceReport(
         dependent=True,
         coefficients=coeffs,
+        classical_truth=sum(k & t for k, t in zip(coeffs, axioms.parities)) % 2,
         phase_bit=pauli.phase_bit(j.observable().base, factors),
     )
 
 
 def classical_truth(j: Proposition, axioms: AxiomSet) -> Optional[int]:
     """Parity combination sum_p k_p * t_p of the axiom truths, or None."""
-    report = classify(j, axioms)
-    if not report.dependent:
-        return None
-    total = 0
-    for k, t in zip(report.coefficients, axioms.parities):
-        total ^= k & t
-    return total
+    return classify(j, axioms).classical_truth
 
 
 def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
@@ -182,16 +177,14 @@ def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
     return 0 if result.outcome == 1 else 1
 
 
-def enumerate_propositions(
-    n: int, axioms: AxiomSet, cap: int = ENUMERATION_CAP
-) -> PropositionCounts:
+def enumerate_propositions(n: int, axioms: AxiomSet) -> PropositionCounts:
     """Exhaustively classify all 4^n proposition vectors.
 
     For any valid axiom set the result is (2^n, 4^n - 2^n): the span of n
     independent vectors has 2^n elements.
     """
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap of {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
     if axioms.n_qubits != n:
         raise ValueError(f"axiom set is for {axioms.n_qubits} qubits, not {n}")
     dependent = sum(
@@ -291,7 +284,7 @@ def ghz_report(cfg: BlackBoxConfig) -> GhzReport:
         axiom_parities=tuple(parities),
         derived_observable=GHZ_DERIVED_STRING,
         coefficients=report.coefficients.to_tuple(),
-        classical=classical_truth(derived, axioms),
+        classical=report.classical_truth,
         quantum=quantum_truth(derived, state),
         phase_bit=report.phase_bit,
     )

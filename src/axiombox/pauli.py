@@ -11,7 +11,7 @@ Qubit 1 is the leftmost tensor factor and bit 0 of the x/z vectors.
 """
 from __future__ import annotations
 
-from .blackbox import BlackBoxConfig
+from .blackbox import BlackBoxConfig, proposition_truth
 from .gf2 import BitVector, symplectic_product
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -207,14 +207,12 @@ def conjugate_by_blackbox(
     """Heisenberg action of the black-box unitary on an observable.
 
     The (x, z) pattern is fixed; only the sign picks up
-    ``(-1)^{sum_j [z_j f_j(0) + x_j f_j(1)]}``.
+    ``(-1)^{sum_j [z_j f_j(0) + x_j f_j(1)]}``, the parity that
+    :func:`blackbox.proposition_truth` gives the observable's vector.
     """
     if obs.n_qubits != cfg.n:
         raise ValueError(f"size mismatch: {obs.n_qubits} qubits vs {cfg.n} functions")
-    exponent = (obs.base.z & cfg.f0_vector).parity() ^ (
-        obs.base.x & cfg.f1_vector
-    ).parity()
-    return obs.negated() if exponent else obs
+    return obs.negated() if proposition_truth(obs.vector, cfg) else obs
 
 
 def parse_observable(text: str) -> SignedObservable:

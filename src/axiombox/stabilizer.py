@@ -2,19 +2,20 @@
 Pauli measurement with collapse, and exact joint outcome distributions.
 
 A tableau holds N signed commuting generators (the encoded axioms) plus N
-destabilizers, one anticommutation partner per generator.  The destabilizer
-pairing turns "which generators multiply to this observable" into N symplectic
-products, so a deterministic measurement costs O(N^2) bit operations and is
-phase-exact; no linear system is solved at measurement time.
+destabilizers, one anticommutation partner per generator, kept as bare (x|z)
+vectors.  The destabilizer pairing turns "which generators multiply to this
+observable" into N symplectic products, so a deterministic measurement costs
+O(N^2) bit operations and is phase-exact; no linear system is solved at
+measurement time.
 
 Tableaus are value-like: measurement returns a fresh post-state instead of
-mutating, so states can be shared and branched freely.
+mutating, so states can be shared; joint outcomes need no branching.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import pauli
 from .blackbox import BlackBoxConfig
@@ -23,13 +24,14 @@ from .gf2 import (
     BitVector,
     _echelon,
     _reduce,
-    in_span,
     nullspace,
     rank,
     swap_halves,
     symplectic_product,
 )
-from .pauli import PauliOperator, SignedObservable
+from .pauli import SignedObservable
+
+_TOLERANCE = 1e-9  # slack on probabilities handed to OutcomeDistribution
 
 
 class MeasurementKind(Enum):
@@ -45,7 +47,7 @@ class StabilizerTableau:
     def __init__(
         self,
         generators: Sequence[SignedObservable],
-        destabilizers: Sequence[PauliOperator],
+        destabilizers: Sequence[BitVector],
     ):
         self._generators = tuple(generators)
         self._destabilizers = tuple(destabilizers)
@@ -78,13 +80,10 @@ class StabilizerTableau:
                     == 0
                 ), "generators must commute pairwise"
         assert rank(self.generator_matrix()) == n, "generators must be independent"
-        for p in range(n):
-            dv = self._destabilizers[p].vector
-            for q in range(n):
+        for p, d in enumerate(self._destabilizers):
+            for q, g in enumerate(self._generators):
                 want = 1 if p == q else 0
-                assert (
-                    symplectic_product(dv, self._generators[q].vector) == want
-                ), "destabilizer pairing broken"
+                assert symplectic_product(d, g.vector) == want, "destabilizer pairing broken"
 
     def to_text(self) -> str:
         """One signed generator per line, e.g. "+ZZI"."""
@@ -127,22 +126,17 @@ class OutcomeDistribution:
 
     __slots__ = ("_outcomes", "_num_observables")
 
-    def __init__(
-        self,
-        outcomes: Dict[tuple, float],
-        num_observables: int,
-        tolerance: float = 1e-9,
-    ):
+    def __init__(self, outcomes: Dict[tuple, float], num_observables: int):
         total = 0.0
         for signs, prob in outcomes.items():
             if len(signs) != num_observables:
                 raise ValueError(f"sign vector {signs} has wrong length")
             if any(s not in (1, -1) for s in signs):
                 raise ValueError(f"sign vector {signs} must contain only +-1")
-            if prob < -tolerance:
+            if prob < -_TOLERANCE:
                 raise ValueError(f"negative probability {prob} for {signs}")
             total += prob
-        if abs(total - 1.0) > tolerance:
+        if abs(total - 1.0) > _TOLERANCE:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self._outcomes = dict(outcomes)
         self._num_observables = num_observables
@@ -228,10 +222,10 @@ def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
         for v, s in zip(vectors, signs)
     ]
     two_n = 2 * len(vectors)
-    destabilizers = []
-    for p in range(len(vectors)):
-        _, d = _reduce(1 << p, pivots)
-        destabilizers.append(pauli.from_proposition(BitVector.from_mask(d, two_n)).base)
+    destabilizers = [
+        BitVector.from_mask(_reduce(1 << p, pivots)[1], two_n)
+        for p in range(len(vectors))
+    ]
     return StabilizerTableau(generators, destabilizers)
 
 
@@ -250,15 +244,16 @@ def _collapse(
     """Standard anticommuting-generator replacement with destabilizer upkeep."""
     q = anticommuting[0]
     pivot = t.generators[q]
+    pv = pivot.vector
     generators = list(t.generators)
     destabilizers = list(t.destabilizers)
     for p in anticommuting[1:]:
         generators[p] = pauli.observable_product(generators[p], pivot)
     ov = obs.vector
     for p, d in enumerate(destabilizers):
-        if p != q and symplectic_product(ov, d.vector):
-            destabilizers[p] = pauli.multiply(d, pivot.base)
-    destabilizers[q] = pivot.base
+        if p != q and symplectic_product(ov, d):
+            destabilizers[p] = d ^ pv
+    destabilizers[q] = pv
     generators[q] = SignedObservable(obs.base, outcome * obs.sign)
     return StabilizerTableau(generators, destabilizers)
 
@@ -307,7 +302,7 @@ def _measure(
         factors = [
             g
             for g, d in zip(t.generators, t.destabilizers)
-            if symplectic_product(ov, d.vector)
+            if symplectic_product(ov, d)
         ]
         c = pauli.phase_bit(obs.base, [g.base for g in factors])
         definite = obs.sign * (-1) ** c
@@ -327,39 +322,49 @@ def joint_distribution(
 ) -> OutcomeDistribution:
     """Exact outcome distribution for a list of pairwise-commuting observables.
 
-    Computed by sequential measurement with branching on random results, so
-    every probability is exactly 0 or 1/2^m (m = number of binary random
-    choices on that branch), and those values are exact in binary floating
-    point.
+    Which measurements are random never depends on an outcome, and each
+    generator sign is an XOR of earlier random outcomes, so the outcomes form
+    an affine set: the reference pass (every random outcome forced to +1) XOR
+    any combination of r columns, column i being the pass that forces -1 at
+    random measurement i, XOR the reference.  Each of the 2^r points has
+    probability 2^-r, exact in binary floating point; (r + 1) * m
+    :func:`measure_forced` calls.
     """
-    for i in range(len(obs_list)):
-        for k in range(i + 1, len(obs_list)):
-            if symplectic_product(obs_list[i].vector, obs_list[k].vector):
-                raise ValueError("not co-measurable")
-    outcomes: Dict[tuple, float] = {}
+    m = len(obs_list)
+    for i, obs in enumerate(obs_list):
+        if any(symplectic_product(obs.vector, o.vector) for o in obs_list[i + 1 :]):
+            raise ValueError("not co-measurable")
 
-    def walk(state: StabilizerTableau, index: int, prob: float, signs: tuple):
-        if index == len(obs_list):
-            outcomes[signs] = outcomes.get(signs, 0.0) + prob
-            return
-        obs = obs_list[index]
-        first = measure_forced(state, obs, 1)
-        if first.kind is MeasurementKind.DETERMINISTIC:
-            walk(first.post_state, index + 1, prob, signs + (first.outcome,))
-        else:
-            walk(first.post_state, index + 1, prob * 0.5, signs + (1,))
-            second = measure_forced(state, obs, -1)
-            walk(second.post_state, index + 1, prob * 0.5, signs + (-1,))
+    def forced_pass(flip: Optional[int]):
+        """Outcome bits (bit k set for -1, forced at ``flip``) and the indices
+        of the random measurements."""
+        state, bits, random = t, 0, []
+        for k, obs in enumerate(obs_list):
+            result = measure_forced(state, obs, -1 if k == flip else 1)
+            state = result.post_state
+            bits |= (result.outcome == -1) << k
+            if result.kind is MeasurementKind.RANDOM:
+                random.append(k)
+        return bits, random
 
-    walk(t, 0, 1.0, ())
-    return OutcomeDistribution(outcomes, len(obs_list))
-
-
-def _random_orthogonal(vectors: Sequence[BitVector], two_n: int, rng) -> BitVector:
-    """Uniform random element of the symplectic complement of ``vectors``."""
-    complement = nullspace(
-        BitMatrix([swap_halves(v) for v in vectors], num_cols=two_n)
+    reference, random = forced_pass(None)
+    support = [reference]
+    for i in random:
+        column = forced_pass(i)[0] ^ reference
+        support = [s for base in support for s in (base, base ^ column)]
+    prob = 0.5 ** len(random)
+    return OutcomeDistribution(
+        {tuple(-1 if s >> k & 1 else 1 for k in range(m)): prob for s in support}, m
     )
+
+
+def _complement(vectors: Sequence[BitVector], two_n: int) -> list:
+    """Basis of the symplectic complement of ``vectors`` (one elimination)."""
+    return nullspace(BitMatrix([swap_halves(v) for v in vectors], num_cols=two_n))
+
+
+def _random_orthogonal(complement: list, two_n: int, rng) -> BitVector:
+    """Uniform random element of the span of the ``complement`` basis."""
     mask = 0
     if complement:
         picks = rng.integers(0, 2, size=len(complement))
@@ -379,17 +384,17 @@ def random_axioms(n: int, rng) -> list:
 
     Grown greedily: each new vector is a random element of the symplectic
     orthogonal complement of the ones chosen so far, rejected if it falls in
-    their span.
+    their span (zero included).  That span is the symplectic complement of the
+    complement, so one elimination per accepted vector serves both steps.
     """
     two_n = 2 * n
     vectors: List[BitVector] = []
+    complement = _complement(vectors, two_n)
     while len(vectors) < n:
-        candidate = _random_orthogonal(vectors, two_n, rng)
-        if candidate.is_zero():
-            continue
-        if vectors and in_span(candidate, BitMatrix(vectors, num_cols=two_n)) is not None:
-            continue
-        vectors.append(candidate)
+        candidate = _random_orthogonal(complement, two_n, rng)
+        if any(symplectic_product(candidate, c) for c in complement):
+            vectors.append(candidate)
+            complement = _complement(vectors, two_n)
     return [(v, _random_sign(rng)) for v in vectors]
 
 
@@ -401,7 +406,7 @@ def random_commuting_observables(n: int, count: int, rng) -> list:
     """
     vectors: List[BitVector] = []
     while len(vectors) < count:
-        vectors.append(_random_orthogonal(vectors, 2 * n, rng))
+        vectors.append(_random_orthogonal(_complement(vectors, 2 * n), 2 * n, rng))
     return [
         SignedObservable(pauli.from_proposition(v).base, _random_sign(rng))
         for v in vectors

@@ -61,6 +61,31 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: seed ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle-compare", "--n", "11", "--trials", "1"], "--n must lie in [1, 10], got 11"),
+            (["oracle-compare", "--n", "40", "--trials", "1"], "--n must lie in [1, 10], got 40"),
+            (["oracle-compare", "--n", "0"], "--n must lie in [1, 10], got 0"),
+            (["enumerate", "--n", "9"], "--n must lie in [1, 8], got 9"),
+            (["enumerate", "--n", "1000000000"], "--n must lie in [1, 8], got 1000000000"),
+            (["q1-demo", "--runs", "10000000000000"],
+             "n_runs must lie in [1, 1000000], got 10000000000000"),
+            (["sample", "--state", "{bell}", "--obs", "ZI", "--runs", "1000001"],
+             "n_runs must lie in [1, 1000000], got 1000001"),
+            (["decay-study", "--trials", "10000000000000"],
+             "trials must lie in [1, 1000000], got 10000000000000"),
+            (["decay-study", "--trials", "0"], "trials must lie in [1, 1000000], got 0"),
+        ],
+    )
+    def test_size_outside_cap_is_exit_one(self, tmp_path, capsys, argv, message):
+        bell = tmp_path / "bell.tab"
+        bell.write_text(BELL_AXIOM_FILE)
+        code, out, err = run(capsys, *[a.format(bell=bell) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_largest_seed_is_accepted(self, capsys):
         code, out, _ = run(capsys, "q1-demo", "--runs", "10",
                            "--seed", "18446744073709551615")

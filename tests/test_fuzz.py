@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axiombox import cli, pauli
+from axiombox.experiment import _RUN_CAP
 
 # Characters the parsers give meaning to, plus a few they must reject.
 PAULI_CHARS = "IXYZixyz+- ,y0123#\t\n.ß"
@@ -54,11 +55,43 @@ ARGV_TEMPLATES = {
 }
 
 
-@settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(sorted(ARGV_TEMPLATES)), tok=TOKEN_LIST)
-def test_main_exits_cleanly_on_malformed_tokens(bell, command, tok):
-    argv = [a.format(bell=bell, tok=tok) for a in ARGV_TEMPLATES[command]]
+def assert_clean_exit(argv):
     code, err = run_main(argv)
     assert code in (0, 1, 2), argv
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(ARGV_TEMPLATES)), tok=TOKEN_LIST)
+def test_main_exits_cleanly_on_malformed_tokens(bell, command, tok):
+    assert_clean_exit([a.format(bell=bell, tok=tok) for a in ARGV_TEMPLATES[command]])
+
+
+def sizes(small, large):
+    """Integers at most ``small`` (cheap when valid) or at least ``large``
+    (above the cap), as text, or any token."""
+    numbers = st.integers(max_value=small) | st.integers(min_value=large)
+    return numbers.map(str) | TOKEN
+
+
+# Size options: every value in range that the strategy draws is cheap to run;
+# the slow ones in range (oracle-compare at n = 9, 10, a million runs) are
+# valid input, not malformed.
+SIZE_TEMPLATES = {
+    "sample --runs": (["sample", "--state", "{bell}", "--obs", "ZI,IZ", "--runs={tok}"],
+                      sizes(50, _RUN_CAP + 1)),
+    "q1-demo --runs": (["q1-demo", "--runs={tok}"], sizes(50, _RUN_CAP + 1)),
+    "decay-study --trials": (["decay-study", "--trials={tok}", "--lengths", "10"],
+                             sizes(50, _RUN_CAP + 1)),
+    "oracle-compare --n": (["oracle-compare", "--n={tok}", "--trials", "1"], sizes(8, 11)),
+    "enumerate --n": (["enumerate", "--n={tok}"], sizes(8, 9)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), option=st.sampled_from(sorted(SIZE_TEMPLATES)))
+def test_main_exits_cleanly_on_any_size(bell, data, option):
+    template, values = SIZE_TEMPLATES[option]
+    tok = data.draw(values)
+    assert_clean_exit([a.format(bell=bell, tok=tok) for a in template])

@@ -79,6 +79,13 @@ class TestClassicalTruth:
         axioms = AxiomSet([BitVector("01")], [0])
         assert logic.classical_truth(Proposition(BitVector("10")), axioms) is None
 
+    def test_classify_reports_it(self):
+        axioms = ghz_axiom_set(parities=(1, 0, 1))
+        for text in ("XXX", "YYX", "ZZI", "III"):
+            report = logic.classify(prop(text), axioms)
+            assert report.classical_truth == logic.classical_truth(prop(text), axioms)
+        assert logic.classify(prop("ZII"), axioms).classical_truth is None
+
 
 class TestQuantumTruth:
     def test_ghz_xxx_negates_classical(self):
@@ -174,7 +181,7 @@ class TestEnumerate:
     def test_cap(self):
         axioms = AxiomSet([BitVector("01")], [0])
         with pytest.raises(ValueError, match="cap"):
-            logic.enumerate_propositions(9, axioms, cap=8)
+            logic.enumerate_propositions(9, axioms)
 
     def test_ratio_grows_as_two_to_n_minus_one(self):
         # formula for n = 1..6, exhaustively confirmed for n <= 3
@@ -206,6 +213,13 @@ class TestGhzReport:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError, match="3 qubits"):
             logic.ghz_report(BlackBoxConfig.identity(2))
+
+    def test_classifies_once(self, monkeypatch):
+        calls = []
+        classify = logic.classify
+        monkeypatch.setattr(logic, "classify", lambda *a: calls.append(a) or classify(*a))
+        assert logic.ghz_report(BlackBoxConfig.from_labels([2, 0, 3])).contradiction == 1
+        assert len(calls) == 1
 
     def test_serialization(self):
         import json

@@ -43,7 +43,7 @@ class TestPrepare:
         assert [str(g) for g in t.generators] == ["+Z"]
         t.check_invariants()
         # destabilizer must anticommute with Z: it is X or Y
-        assert symplectic_product(t.destabilizers[0].vector, vec("Z")) == 1
+        assert symplectic_product(t.destabilizers[0], vec("Z")) == 1
 
     def test_bell_state_generators(self):
         t = bell_state()

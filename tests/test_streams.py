@@ -13,7 +13,6 @@ from axiombox import cli
 from axiombox import stabilizer as stab
 from axiombox.experiment import philox_rng
 from axiombox.gf2 import BitMatrix, BitVector, in_span, swap_halves
-from axiombox.pauli import PauliOperator
 
 
 def masks(pairs):
@@ -46,9 +45,7 @@ class TestPinnedStreams:
     def test_prepared_tableau(self):
         tableau = stab.prepare(stab.random_axioms(4, philox_rng(2024)))
         assert tableau.to_text() == "+ZYIY\n-YZXI\n+XZZI\n+XZZY\n"
-        assert [(d.vector.mask, d.phase) for d in tableau.destabilizers] == [
-            (21, 1), (20, 0), (25, 1), (29, 1),
-        ]
+        assert [d.mask for d in tableau.destabilizers] == [21, 20, 25, 29]
 
     def test_q1_demo_output(self):
         out = cli_output("q1-demo", "--labels", "y1", "--runs", "200",
@@ -74,6 +71,5 @@ def test_destabilizers_match_per_unit_vector_solve(n):
     columns = BitMatrix([swap_halves(v) for v, _ in axioms]).transpose()
     tableau = stab.prepare(axioms)
     for p, d in enumerate(tableau.destabilizers):
-        x, z = in_span(BitVector.unit(p, n), columns).halves()
-        assert d == PauliOperator(x, z, (x & z).weight() % 4)
+        assert d == in_span(BitVector.unit(p, n), columns)
     tableau.check_invariants()
