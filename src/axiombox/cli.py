@@ -176,6 +176,8 @@ def cmd_q2_demo(args) -> int:
 def cmd_oracle_compare(args) -> int:
     if not 1 <= args.n <= oracle.DENSE_CAP:
         raise ValueError(f"--n must lie in [1, {oracle.DENSE_CAP}], got {args.n}")
+    if not 1 <= args.trials <= xp._RUN_CAP:
+        raise ValueError(f"--trials must lie in [1, {xp._RUN_CAP}], got {args.trials}")
     rng = xp.philox_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

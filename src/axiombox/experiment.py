@@ -150,10 +150,11 @@ def sample(
         flips = rng.random(signs.shape) < noise.flip_prob
         signs = np.where(flips, -signs, signs)
 
-    counts: Dict[tuple, int] = {}
-    rows, tallies = np.unique(signs, axis=0, return_counts=True)
-    for row, tally in zip(rows, tallies):
-        counts[tuple(int(s) for s in row)] = int(tally)
+    # One byte key per run: MSB-first packbits maps -1 to 0, so keys sort like rows.
+    packed = np.packbits(signs > 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, tallies = np.unique(keys, return_index=True, return_counts=True)
+    counts = {tuple(int(s) for s in signs[i]): int(t) for i, t in zip(first, tallies)}
     return RunRecord(
         seed=seed,
         n_runs=n_runs,
@@ -202,9 +203,9 @@ def decay_study(
     Hoeffding upper bound.
     """
     q = noise.flip_prob
-    dep_margin = 0.5 - q - threshold
-    if q >= threshold or dep_margin <= 0:
+    if not q < threshold < 0.5 - q:  # written so that a NaN threshold fails too
         raise ValueError("indistinguishable regime")
+    dep_margin = 0.5 - q - threshold
     if not 1 <= trials <= _RUN_CAP:
         raise ValueError(f"trials must lie in [1, {_RUN_CAP}], got {trials}")
     rows = []

@@ -282,11 +282,12 @@ def symplectic_product(v1: BitVector, v2: BitVector) -> int:
         raise ValueError(f"length mismatch: {len(v1)} vs {len(v2)}")
     if len(v1) % 2:
         raise ValueError(f"symplectic product needs even length, got {len(v1)}")
-    n = len(v1) // 2
-    low = (1 << n) - 1
-    x1, z1 = v1.mask & low, v1.mask >> n
-    x2, z2 = v2.mask & low, v2.mask >> n
-    return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1
+    return _symplectic(v1.mask, v2.mask, len(v1) // 2)
+
+
+def _symplectic(a: int, b: int, n: int) -> int:
+    """:func:`symplectic_product` of two 2n-bit masks, without length checks."""
+    return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
 
 
 def swap_halves(v: BitVector) -> BitVector:

@@ -153,14 +153,12 @@ def classify(j: Proposition, axioms: AxiomSet) -> DependenceReport:
     if residue:
         return DependenceReport(dependent=False)
     coeffs = BitVector.from_mask(combo, axioms.n_qubits)
-    factors = [
-        pauli.from_proposition(v).base for k, v in zip(coeffs, axioms.vectors) if k
-    ]
+    factors = [v.mask for k, v in zip(coeffs, axioms.vectors) if k]
     return DependenceReport(
         dependent=True,
         coefficients=coeffs,
         classical_truth=sum(k & t for k, t in zip(coeffs, axioms.parities)) % 2,
-        phase_bit=pauli.phase_bit(j.observable().base, factors),
+        phase_bit=pauli.phase_bit(j.vector.mask, factors, axioms.n_qubits),
     )
 
 

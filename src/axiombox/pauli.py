@@ -97,15 +97,16 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator(p.x ^ q.x, p.z ^ q.z, p.phase + q.phase + 2 * swaps)
 
 
-def phase_bit(target: PauliOperator, factors: list) -> int:
-    """The bit c with ``target = (-1)^c * prod(factors)``, for Hermitian target
-    and commuting Hermitian factors whose product has target's (x|z) pattern."""
-    product = PauliOperator.identity(target.n_qubits)
+def phase_bit(target: int, factors: list, n: int) -> int:
+    """The bit c with ``C(target) = (-1)^c * prod C(factors)``, for commuting 2n-bit
+    (x|z) masks that XOR to target; C(v) is :func:`from_proposition`'s Pauli."""
+    v = e = 0  # the running product i^e * sx^x * sz^z with (x|z) = v, as in multiply
     for f in factors:
-        product = multiply(product, f)
-    if product.vector != target.vector:  # the rank-N invariant broke
+        e += (f & f >> n).bit_count() + 2 * (v >> n & f).bit_count()
+        v ^= f
+    if v != target:  # the rank-N invariant broke
         raise AssertionError("observable not in generator span")
-    return (target.phase - product.phase) % 4 // 2
+    return ((target & target >> n).bit_count() - e) % 4 // 2
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> int:

@@ -1,12 +1,12 @@
 """Stabilizer-tableau states: preparation from axioms, black-box evolution,
 Pauli measurement with collapse, and exact joint outcome distributions.
 
-A tableau holds N signed commuting generators (the encoded axioms) plus N
-destabilizers, one anticommutation partner per generator, kept as bare (x|z)
-vectors.  The destabilizer pairing turns "which generators multiply to this
-observable" into N symplectic products, so a deterministic measurement costs
-O(N^2) bit operations and is phase-exact; no linear system is solved at
-measurement time.
+A tableau holds N commuting generators (the encoded axioms) as 2N-bit (x|z)
+int masks with signs of +-1, plus N destabilizer masks, one anticommutation
+partner per generator (the CHP layout of quant-ph/0406196).  The pairing turns
+"which generators multiply to this observable" into N symplectic products, so
+a deterministic measurement costs O(N^2) bit operations and is phase-exact,
+and a collapse is XORs of masks plus one phase bit per sign.
 
 Tableaus are value-like: measurement returns a fresh post-state instead of
 mutating, so states can be shared; joint outcomes need no branching.
@@ -18,12 +18,13 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import pauli
-from .blackbox import BlackBoxConfig
+from .blackbox import BlackBoxConfig, axiom_truths
 from .gf2 import (
     BitMatrix,
     BitVector,
     _echelon,
     _reduce,
+    _symplectic,
     nullspace,
     rank,
     swap_halves,
@@ -40,54 +41,60 @@ class MeasurementKind(Enum):
 
 
 class StabilizerTableau:
-    """N-qubit stabilizer state as signed generators plus destabilizers."""
+    """N-qubit stabilizer state as signed generator masks plus destabilizer masks."""
 
-    __slots__ = ("_generators", "_destabilizers")
+    __slots__ = ("_n", "_gens", "_signs", "_destabs")
 
     def __init__(
         self,
-        generators: Sequence[SignedObservable],
-        destabilizers: Sequence[BitVector],
+        n: int,
+        gens: Sequence[int],
+        signs: Sequence[int],
+        destabs: Sequence[int],
     ):
-        self._generators = tuple(generators)
-        self._destabilizers = tuple(destabilizers)
+        self._n = n
+        self._gens = tuple(gens)
+        self._signs = tuple(signs)
+        self._destabs = tuple(destabs)
 
     @property
     def n_qubits(self) -> int:
-        return self._generators[0].n_qubits
+        return self._n
 
     @property
     def generators(self) -> tuple:
-        return self._generators
+        """The signed generators, built from the masks on each read."""
+        return tuple(
+            SignedObservable(pauli.from_proposition(v).base, s)
+            for v, s in zip(self.generator_matrix(), self._signs)
+        )
 
     @property
     def destabilizers(self) -> tuple:
-        return self._destabilizers
+        """The destabilizer (x|z) vectors, built from the masks on each read."""
+        return tuple(BitVector.from_mask(d, 2 * self._n) for d in self._destabs)
 
     def generator_matrix(self) -> BitMatrix:
-        return BitMatrix([g.vector for g in self._generators])
+        return BitMatrix([BitVector.from_mask(g, 2 * self._n) for g in self._gens])
 
     def check_invariants(self) -> None:
         """Raise AssertionError if the tableau structure is broken."""
-        n = self.n_qubits
-        assert len(self._generators) == n and len(self._destabilizers) == n
+        n, gens = self._n, self._gens
+        assert len(gens) == len(self._signs) == len(self._destabs) == n
         for p in range(n):
             for q in range(p + 1, n):
-                assert (
-                    symplectic_product(
-                        self._generators[p].vector, self._generators[q].vector
-                    )
-                    == 0
-                ), "generators must commute pairwise"
+                assert _symplectic(gens[p], gens[q], n) == 0, (
+                    "generators must commute pairwise"
+                )
         assert rank(self.generator_matrix()) == n, "generators must be independent"
-        for p, d in enumerate(self._destabilizers):
-            for q, g in enumerate(self._generators):
+        for p, d in enumerate(self._destabs):
+            for q, g in enumerate(gens):
                 want = 1 if p == q else 0
-                assert symplectic_product(d, g.vector) == want, "destabilizer pairing broken"
+                assert _symplectic(d, g, n) == want, "destabilizer pairing broken"
 
     def to_text(self) -> str:
         """One signed generator per line, e.g. "+ZZI"."""
-        return "".join(pauli.format_observable(g) + "\n" for g in self._generators)
+        return "".join(pauli.format_observable(g) + "\n" for g in self.generators)
 
     @classmethod
     def from_text(cls, text: str) -> "StabilizerTableau":
@@ -104,13 +111,12 @@ class StabilizerTableau:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StabilizerTableau):
             return NotImplemented
-        return (
-            self._generators == other._generators
-            and self._destabilizers == other._destabilizers
+        return (self._gens, self._signs, self._destabs) == (
+            other._gens, other._signs, other._destabs
         )
 
     def __repr__(self) -> str:
-        gens = " ".join(pauli.format_observable(g) for g in self._generators)
+        gens = " ".join(pauli.format_observable(g) for g in self.generators)
         return f"StabilizerTableau({gens})"
 
 
@@ -217,45 +223,41 @@ def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
     pivots = check_axioms(
         vectors, lambda vs: BitMatrix([swap_halves(v) for v in vs]).transpose()
     )
-    generators = [
-        SignedObservable(pauli.from_proposition(v).base, s)
-        for v, s in zip(vectors, signs)
-    ]
-    two_n = 2 * len(vectors)
-    destabilizers = [
-        BitVector.from_mask(_reduce(1 << p, pivots)[1], two_n)
-        for p in range(len(vectors))
-    ]
-    return StabilizerTableau(generators, destabilizers)
+    destabs = [_reduce(1 << p, pivots)[1] for p in range(len(vectors))]
+    return StabilizerTableau(len(vectors), [v.mask for v in vectors], signs, destabs)
 
 
 def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTableau:
-    """Conjugate every generator; only signs can change."""
-    new_gens = [pauli.conjugate_by_blackbox(g, cfg) for g in t.generators]
-    return StabilizerTableau(new_gens, t.destabilizers)
+    """Conjugate every generator: the box flips the sign of generator p exactly
+    when its parity bit t_p (:func:`blackbox.axiom_truths`) is 1."""
+    if cfg.n != t._n:
+        raise ValueError(f"size mismatch: {t._n} qubits vs {cfg.n} functions")
+    truths = axiom_truths([BitVector.from_mask(g, 2 * t._n) for g in t._gens], cfg)
+    signs = [-s if b else s for s, b in zip(t._signs, truths)]
+    return StabilizerTableau(t._n, t._gens, signs, t._destabs)
 
 
 def _collapse(
     t: StabilizerTableau,
-    obs: SignedObservable,
+    ov: int,
+    sign: int,
     anticommuting: Sequence[int],
-    outcome: int,
 ) -> StabilizerTableau:
-    """Standard anticommuting-generator replacement with destabilizer upkeep."""
+    """Standard anticommuting-generator replacement with destabilizer upkeep;
+    generator q becomes the measured ``sign * C(ov)``."""
+    n = t._n
     q = anticommuting[0]
-    pivot = t.generators[q]
-    pv = pivot.vector
-    generators = list(t.generators)
-    destabilizers = list(t.destabilizers)
+    gens, signs, destabs = list(t._gens), list(t._signs), list(t._destabs)
+    gq, sq = gens[q], signs[q]
     for p in anticommuting[1:]:
-        generators[p] = pauli.observable_product(generators[p], pivot)
-    ov = obs.vector
-    for p, d in enumerate(destabilizers):
-        if p != q and symplectic_product(ov, d):
-            destabilizers[p] = d ^ pv
-    destabilizers[q] = pv
-    generators[q] = SignedObservable(obs.base, outcome * obs.sign)
-    return StabilizerTableau(generators, destabilizers)
+        signs[p] *= sq * (-1) ** pauli.phase_bit(gens[p] ^ gq, [gens[p], gq], n)
+        gens[p] ^= gq
+    for p, d in enumerate(destabs):
+        if p != q and _symplectic(ov, d, n):
+            destabs[p] = d ^ gq
+    destabs[q] = gq
+    gens[q], signs[q] = ov, sign
+    return StabilizerTableau(n, gens, signs, destabs)
 
 
 def measure(
@@ -288,32 +290,25 @@ def _measure(
 ) -> MeasurementResult:
     """The one body of :func:`measure` and :func:`measure_forced`; a random
     branch draws from ``rng`` when ``outcome`` is None."""
-    if obs.n_qubits != t.n_qubits:
-        raise ValueError(f"size mismatch: {obs.n_qubits} vs {t.n_qubits} qubits")
-    ov = obs.vector
-    anticommuting = [
-        p
-        for p, g in enumerate(t.generators)
-        if symplectic_product(ov, g.vector)
-    ]
+    n = t._n
+    if obs.n_qubits != n:
+        raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
+    ov = obs.base.x.mask | obs.base.z.mask << n
+    anticommuting = [p for p, g in enumerate(t._gens) if _symplectic(ov, g, n)]
     if not anticommuting:
         # The destabilizer pairing picks the generators g_p with
-        # base(obs) = (-1)^c * prod_p base(g_p); the outcome follows exactly.
-        factors = [
-            g
-            for g, d in zip(t.generators, t.destabilizers)
-            if symplectic_product(ov, d)
-        ]
-        c = pauli.phase_bit(obs.base, [g.base for g in factors])
+        # C(obs) = (-1)^c * prod_p C(g_p); the outcome follows exactly.
+        factors = [p for p, d in enumerate(t._destabs) if _symplectic(ov, d, n)]
+        c = pauli.phase_bit(ov, [t._gens[p] for p in factors], n)
         definite = obs.sign * (-1) ** c
-        for g in factors:
-            definite *= g.sign
+        for p in factors:
+            definite *= t._signs[p]
         return MeasurementResult(definite, MeasurementKind.DETERMINISTIC, t)
     if outcome is None:
         if rng is None:
             raise ValueError("random measurement outcome requires an rng")
         outcome = 1 if rng.random() < 0.5 else -1
-    post = _collapse(t, obs, anticommuting, outcome)
+    post = _collapse(t, ov, outcome * obs.sign, anticommuting)
     return MeasurementResult(outcome, MeasurementKind.RANDOM, post)
 
 

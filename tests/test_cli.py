@@ -76,6 +76,12 @@ class TestExitCodes:
             (["decay-study", "--trials", "10000000000000"],
              "trials must lie in [1, 1000000], got 10000000000000"),
             (["decay-study", "--trials", "0"], "trials must lie in [1, 1000000], got 0"),
+            (["oracle-compare", "--n", "1", "--trials", "0"],
+             "--trials must lie in [1, 1000000], got 0"),
+            (["oracle-compare", "--n", "1", "--trials", "-3"],
+             "--trials must lie in [1, 1000000], got -3"),
+            (["oracle-compare", "--n", "1", "--trials", "1000001"],
+             "--trials must lie in [1, 1000000], got 1000001"),
         ],
     )
     def test_size_outside_cap_is_exit_one(self, tmp_path, capsys, argv, message):
@@ -254,3 +260,10 @@ class TestDecayStudy:
                            "--trials", "10")
         assert code == 1
         assert "indistinguishable" in err
+
+    def test_nan_threshold_rejected(self, capsys):
+        code, out, err = run(capsys, "decay-study", "--threshold", "nan",
+                             "--trials", "10")
+        assert code == 1
+        assert out == ""
+        assert err == "error: indistinguishable regime\n"

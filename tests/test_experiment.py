@@ -109,6 +109,27 @@ class TestSample:
                 kl += emp * math.log(emp / exact.probability(signs))
             assert kl < 0.01
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 70])
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.2])
+    def test_counts_equal_row_sort(self, m, flip_prob):
+        """Counts (values and key order) equal those of the row sort
+        ``np.unique(axis=0)`` over the same draws, which ``sample`` used before."""
+        rng = xp.philox_rng(m, 77)
+        n = int(rng.integers(1, 5))
+        state = stab.prepare(stab.random_axioms(n, rng))
+        olist = stab.random_commuting_observables(n, m, rng)
+        record = xp.sample(state, olist, 3000, seed=m, noise=NoiseModel(flip_prob))
+
+        support = stab.joint_distribution(state, olist).support()
+        draws = xp.philox_rng(m, 0)
+        picks = draws.choice(len(support), size=3000, p=[1 / len(support)] * len(support))
+        signs = np.array(support, dtype=np.int8)[picks]
+        if flip_prob:
+            signs = np.where(draws.random(signs.shape) < flip_prob, -signs, signs)
+        rows, tallies = np.unique(signs, axis=0, return_counts=True)
+        expected = [(tuple(int(s) for s in row), int(t)) for row, t in zip(rows, tallies)]
+        assert list(record.counts.items()) == expected
+
 
 class TestClassifyRecord:
     def test_definite_record(self):

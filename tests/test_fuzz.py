@@ -1,6 +1,8 @@
 """Property tests over malformed text: the Pauli parser either returns or
 raises ValueError, and the CLI ends every run with exit 0, 1 or 2 (1 with a
-one-line ``error:`` message), never with another exception."""
+one-line ``error:`` message), never with another exception, whatever its
+arguments or the axiom, tableau and config files it reads.  Also: a prepared
+tableau survives its own text format."""
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axiombox import cli, pauli
-from axiombox.experiment import _RUN_CAP
+from axiombox import stabilizer as stab
+from axiombox.experiment import _RUN_CAP, philox_rng
 
 # Characters the parsers give meaning to, plus a few they must reject.
 PAULI_CHARS = "IXYZixyz+- ,y0123#\t\n.ß"
@@ -85,6 +88,8 @@ SIZE_TEMPLATES = {
     "decay-study --trials": (["decay-study", "--trials={tok}", "--lengths", "10"],
                              sizes(50, _RUN_CAP + 1)),
     "oracle-compare --n": (["oracle-compare", "--n={tok}", "--trials", "1"], sizes(8, 11)),
+    "oracle-compare --trials": (["oracle-compare", "--n", "1", "--trials={tok}"],
+                                sizes(50, _RUN_CAP + 1)),
     "enumerate --n": (["enumerate", "--n={tok}"], sizes(8, 9)),
 }
 
@@ -95,3 +100,39 @@ def test_main_exits_cleanly_on_any_size(bell, data, option):
     template, values = SIZE_TEMPLATES[option]
     tok = data.draw(values)
     assert_clean_exit([a.format(bell=bell, tok=tok) for a in template])
+
+
+# Characters the axiom, tableau and config parsers give meaning to.
+FILE_CHARS = "IXYZixyz+-y01234 #\t\n\r"
+FILE_BODY = st.lists(
+    st.text(alphabet=FILE_CHARS, max_size=10) | st.text(max_size=6), max_size=6
+).map("\n".join)
+FILE_TEMPLATES = {
+    "prepare --axioms": ["prepare", "--axioms", "{body}"],
+    "check --axioms": ["check", "--axioms", "{body}", "--prop", "XZ"],
+    "blackbox --state": ["blackbox", "--state", "{body}", "--config", "{box}"],
+    "blackbox --config": ["blackbox", "--state", "{bell}", "--config", "{body}"],
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory, bell):
+    folder = tmp_path_factory.mktemp("files")
+    box = folder / "box.cfg"
+    box.write_text("y2\ny1\n")
+    return {"bell": bell, "box": str(box), "body": str(folder / "body.txt")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(FILE_TEMPLATES)), body=FILE_BODY)
+def test_main_exits_cleanly_on_malformed_files(files, command, body):
+    with open(files["body"], "w", encoding="utf-8", newline="") as handle:
+        handle.write(body)
+    assert_clean_exit([a.format(**files) for a in FILE_TEMPLATES[command]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 64 - 1))
+def test_prepared_tableau_text_roundtrip(n, seed):
+    tableau = stab.prepare(stab.random_axioms(n, philox_rng(seed)))
+    assert stab.StabilizerTableau.from_text(tableau.to_text()) == tableau
