@@ -16,7 +16,7 @@ Label convention: the four functions are numbered ``y_k`` with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import BitVector
@@ -52,6 +52,9 @@ class BlackBoxConfig:
     """Ordered tuple of the N Boolean functions a black box encodes."""
 
     functions: tuple
+    # Bit j = f_j(0) and f_j(1), packed once for proposition_truth.
+    _f0: int = field(init=False, repr=False, compare=False)
+    _f1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fns = tuple(self.functions)
@@ -60,6 +63,8 @@ class BlackBoxConfig:
         if not all(isinstance(f, BooleanFunction) for f in fns):
             raise TypeError("functions must be BooleanFunction instances")
         object.__setattr__(self, "functions", fns)
+        object.__setattr__(self, "_f0", sum(f.f0 << j for j, f in enumerate(fns)))
+        object.__setattr__(self, "_f1", sum(f.f1 << j for j, f in enumerate(fns)))
 
     @property
     def n(self) -> int:
@@ -68,12 +73,12 @@ class BlackBoxConfig:
     @property
     def f0_vector(self) -> BitVector:
         """Bit j = f_j(0)."""
-        return BitVector([f.f0 for f in self.functions])
+        return BitVector.from_mask(self._f0, self.n)
 
     @property
     def f1_vector(self) -> BitVector:
         """Bit j = f_j(1)."""
-        return BitVector([f.f1 for f in self.functions])
+        return BitVector.from_mask(self._f1, self.n)
 
     @classmethod
     def from_labels(cls, labels: Iterable[int]) -> "BlackBoxConfig":
@@ -105,8 +110,7 @@ def proposition_truth(j: BitVector, cfg: BlackBoxConfig) -> int:
         raise ValueError(
             f"proposition vector length {len(j)} does not match {cfg.n} functions"
         )
-    alpha, beta = j.halves()
-    return (beta & cfg.f0_vector).parity() ^ (alpha & cfg.f1_vector).parity()
+    return ((j.mask >> cfg.n & cfg._f0) ^ (j.mask & cfg._f1)).bit_count() & 1
 
 
 def axiom_truths(axioms: Sequence[BitVector], cfg: BlackBoxConfig) -> list:

@@ -37,12 +37,7 @@ def _load_config(path: str) -> bb.BlackBoxConfig:
 
 
 def _load_axiom_observables(path: str) -> list:
-    observables = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            observables.append(pauli.parse_observable(line))
-    return observables
+    return pauli._parse_observable_lines(Path(path).read_text())
 
 
 def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
@@ -179,8 +174,8 @@ def cmd_oracle_compare(args) -> int:
     if not 1 <= args.trials <= xp._RUN_CAP:
         raise ValueError(f"--trials must lie in [1, {xp._RUN_CAP}], got {args.trials}")
     rng = xp.philox_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
+    worst, worst_trial = 0.0, None
+    for trial in range(args.trials):
         axioms = stab.random_axioms(args.n, rng)
         tableau = stab.prepare(axioms)
         count = int(rng.integers(1, args.n + 2))
@@ -188,13 +183,26 @@ def cmd_oracle_compare(args) -> int:
         exact = stab.joint_distribution(tableau, observables)
         state = oracle.state_from_axioms(axioms)
         dense = oracle.distribution(state, observables)
-        worst = max(worst, exact.max_deviation(dense))
-    _write_output(
+        deviation = exact.max_deviation(dense)
+        if deviation > worst:
+            worst, worst_trial = deviation, (trial, axioms, observables)
+    agree = worst < ORACLE_TOLERANCE
+    text = (
         f"trials: {args.trials}\nmax_deviation: {worst:.3e}\n"
-        f"verdict: {'agree' if worst < ORACLE_TOLERANCE else 'DISAGREE'}\n",
-        args.out,
+        f"verdict: {'agree' if agree else 'DISAGREE'}\n"
     )
-    return 0 if worst < ORACLE_TOLERANCE else 1
+    if not agree:
+        # Name the worst trial (counted from 0) so that it can be replayed.
+        trial, axioms, observables = worst_trial
+        signed = [
+            pauli.SignedObservable(pauli.from_proposition(v).base, s) for v, s in axioms
+        ]
+        text += (
+            f"worst_trial: {trial}\naxioms: {','.join(map(str, signed))}\n"
+            f"observables: {','.join(map(str, observables))}\n"
+        )
+    _write_output(text, args.out)
+    return 0 if agree else 1
 
 
 def cmd_decay_study(args) -> int:

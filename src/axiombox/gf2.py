@@ -12,7 +12,7 @@ the z exponents.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 BitsLike = Union["BitVector", Iterable[int], str]
 
@@ -288,6 +288,13 @@ def symplectic_product(v1: BitVector, v2: BitVector) -> int:
 def _symplectic(a: int, b: int, n: int) -> int:
     """:func:`symplectic_product` of two 2n-bit masks, without length checks."""
     return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
+
+
+def _commute_pairwise(masks: Sequence[int], n: int) -> bool:
+    """True when the 2n-bit (x|z) masks commute pairwise (:func:`_symplectic`)."""
+    return not any(
+        _symplectic(a, b, n) for i, a in enumerate(masks) for b in masks[i + 1 :]
+    )
 
 
 def swap_halves(v: BitVector) -> BitVector:

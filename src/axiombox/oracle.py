@@ -1,10 +1,10 @@
 """Brute-force dense simulator: ground truth for the tableau machinery.
 
-States are plain complex vectors of 2^N amplitudes, observables are dense
-2^N x 2^N matrices.  Everything is built by Kronecker products and projector
-arithmetic in double precision; tolerances are far below the dyadic
-probabilities being checked, so a disagreement with the exact tableau path
-is always a real bug, never numerical noise.
+States are plain complex vectors of 2^N amplitudes.  A Pauli operator acts on
+them as a signed permutation of the computational basis, ``P|c> = f_c |c ^ x>``
+with f_c one of +-1, +-i: one application costs O(2^N), a state O(N 4^N).
+Every product is an exact +-1 or +-i times a double, so a disagreement with
+the exact tableau path is always a real bug, never numerical noise.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import symplectic_product
+from .gf2 import _commute_pairwise
 from .pauli import PauliOperator, SignedObservable, from_proposition
 from .stabilizer import OutcomeDistribution
 
@@ -21,12 +21,7 @@ DENSE_CAP = 10  # 2^10 amplitudes; verification scale, not performance
 DenseState = np.ndarray
 DenseOperator = np.ndarray
 
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),  # i*X*Z
-}
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
 def _check_cap(n_qubits: int) -> None:
@@ -34,30 +29,36 @@ def _check_cap(n_qubits: int) -> None:
         raise ValueError(f"{n_qubits} qubits exceeds the dense cap of {DENSE_CAP}")
 
 
+def _signed_permutation(p: PauliOperator, sign: int = 1) -> tuple:
+    """``(perm, factors)`` with ``sign * P|c> = factors[c] |perm[c]>``.
+
+    ``P = i^phase * prod_j sx^{x_j} sz^{z_j}`` with qubit 1 the most significant
+    bit of the basis index c, so with x, z bit-reversed into index order,
+    ``P|c> = i^phase * (-1)^{|c & z|} |c ^ x>``.
+    """
+    n = p.n_qubits
+    _check_cap(n)
+    x, z = (int(format(v.mask, f"0{n}b")[::-1], 2) for v in (p.x, p.z))
+    c = np.arange(2 ** n)
+    odd = np.zeros(2 ** n, dtype=bool)
+    for b in range(n):
+        if z >> b & 1:
+            odd ^= (c >> b & 1).astype(bool)
+    factors = np.where(odd, -1, 1) * (sign * _POWERS_OF_I[p.phase])
+    return c ^ x, factors
+
+
 def pauli_term_matrix(p: PauliOperator) -> DenseOperator:
     """Dense matrix of ``i^phase * prod_j sx^{x_j} sz^{z_j}``."""
-    _check_cap(p.n_qubits)
-    xz = np.array([[0, -1], [1, 0]], dtype=complex)  # sx*sz
-    bare = {
-        (0, 0): _SINGLE[0, 0],
-        (1, 0): _SINGLE[1, 0],
-        (0, 1): _SINGLE[0, 1],
-        (1, 1): xz,
-    }
-    m = np.ones((1, 1), dtype=complex)
-    for xb, zb in zip(p.x, p.z):  # qubit 1 is the leftmost factor
-        m = np.kron(m, bare[xb, zb])
-    return (1j ** p.phase) * m
+    perm, factors = _signed_permutation(p)
+    m = np.zeros((len(perm), len(perm)), dtype=complex)
+    m[perm, np.arange(len(perm))] = factors
+    return m
 
 
 def pauli_matrix(obs: SignedObservable) -> DenseOperator:
-    """Dense matrix of a signed observable (Kronecker product of the
-    canonical per-qubit factors, times the sign)."""
-    _check_cap(obs.n_qubits)
-    m = np.ones((1, 1), dtype=complex)
-    for xb, zb in zip(obs.base.x, obs.base.z):
-        m = np.kron(m, _SINGLE[xb, zb])
-    return float(obs.sign) * m
+    """Dense matrix of a signed observable (its canonical base times the sign)."""
+    return obs.sign * pauli_term_matrix(obs.base)
 
 
 def state_from_axioms(axioms) -> DenseState:
@@ -66,18 +67,22 @@ def state_from_axioms(axioms) -> DenseState:
     ``axioms`` is anything with ``generator_pairs()`` (an AxiomSet) or a
     plain list of (vector, sign) pairs.  Applies the projector
     ``prod_p (1 + sign_p * Omega_p)/2`` to computational basis vectors in
-    order until one survives.
+    order until one survives.  Right-multiplying by ``Omega_p`` permutes and
+    scales the columns, so each factor costs O(4^N); the projector is kept
+    transposed, so that a column is a contiguous row.
     """
     pairs = axioms.generator_pairs() if hasattr(axioms, "generator_pairs") else list(axioms)
     n = len(pairs[0][0]) // 2
     _check_cap(n)
-    dim = 2 ** n
-    projector = np.eye(dim, dtype=complex)
+    columns = np.eye(2 ** n, dtype=complex)
     for vector, sign in pairs:
-        omega = pauli_matrix(from_proposition(vector))
-        projector = projector @ (np.eye(dim, dtype=complex) + float(sign) * omega) / 2.0
-    for i in range(dim):
-        column = projector[:, i]
+        perm, factors = _signed_permutation(from_proposition(vector).base, sign)
+        applied = columns[perm]
+        applied *= factors[:, None]
+        applied += columns
+        applied *= 0.5  # exactly /2, and far cheaper on complex arrays
+        columns = applied
+    for column in columns:
         norm = np.linalg.norm(column)
         if norm > 1e-9:
             return column / norm
@@ -91,22 +96,25 @@ def distribution(
 
     P(s) = || prod_i (1 + s_i * Theta_i)/2 |psi> ||^2.
     """
-    for i in range(len(obs_list)):
-        for k in range(i + 1, len(obs_list)):
-            if symplectic_product(obs_list[i].vector, obs_list[k].vector):
-                raise ValueError("not co-measurable")
-    matrices = [pauli_matrix(o) for o in obs_list]
+    n = len(state).bit_length() - 1
+    for obs in obs_list:
+        if obs.n_qubits != n:
+            raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
+    if not _commute_pairwise([o.vector.mask for o in obs_list], n):
+        raise ValueError("not co-measurable")
+    actions = [_signed_permutation(o.base, o.sign) for o in obs_list]
     outcomes = {}
 
     def walk(vec: np.ndarray, index: int, signs: tuple):
-        if index == len(matrices):
+        if index == len(actions):
             prob = float(np.real(np.vdot(vec, vec)))
             if prob > 1e-15:
                 outcomes[signs] = outcomes.get(signs, 0.0) + prob
             return
-        m = matrices[index]
-        walk((vec + m @ vec) / 2.0, index + 1, signs + (1,))
-        walk((vec - m @ vec) / 2.0, index + 1, signs + (-1,))
+        perm, factors = actions[index]
+        applied = (factors * vec)[perm]  # perm is an XOR, its own inverse
+        walk((vec + applied) * 0.5, index + 1, signs + (1,))
+        walk((vec - applied) * 0.5, index + 1, signs + (-1,))
 
     walk(np.asarray(state, dtype=complex), 0, ())
     return OutcomeDistribution(outcomes, len(obs_list))

@@ -234,6 +234,13 @@ def parse_observable(text: str) -> SignedObservable:
     return SignedObservable(PauliOperator(x, z, _canonical_phase(x, z)), sign)
 
 
+def _parse_observable_lines(text: str) -> list:
+    """One observable per line of an axiom or tableau file; '#' starts a
+    comment and blank lines are skipped."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [parse_observable(line) for line in lines if line]
+
+
 def format_observable(obs: SignedObservable) -> str:
     letters = "".join(
         _XZ_TO_LETTER[(xb, zb)] for xb, zb in zip(obs.base.x, obs.base.z)

@@ -22,6 +22,7 @@ from .blackbox import BlackBoxConfig, axiom_truths
 from .gf2 import (
     BitMatrix,
     BitVector,
+    _commute_pairwise,
     _echelon,
     _reduce,
     _symplectic,
@@ -99,14 +100,7 @@ class StabilizerTableau:
     @classmethod
     def from_text(cls, text: str) -> "StabilizerTableau":
         """Parse :meth:`to_text` output (or any axiom file) and prepare."""
-        pairs = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            obs = pauli.parse_observable(line)
-            pairs.append((obs.vector, obs.sign))
-        return prepare(pairs)
+        return prepare([(o.vector, o.sign) for o in pauli._parse_observable_lines(text)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StabilizerTableau):
@@ -197,9 +191,8 @@ def check_axioms(vectors: Sequence[BitVector], matrix: Callable[..., BitMatrix])
         raise ValueError(f"need exactly {n} axioms of length {two_n}, got {len(vectors)}")
     if any(len(v) != two_n for v in vectors):
         raise ValueError("axiom vectors have inconsistent lengths")
-    for p, v in enumerate(vectors):
-        if any(symplectic_product(v, w) for w in vectors[p + 1 :]):
-            raise ValueError("axioms not co-measurable")
+    if not _commute_pairwise([v.mask for v in vectors], n):
+        raise ValueError("axioms not co-measurable")
     pivots = _echelon(matrix(vectors))
     if len(pivots) != n:
         raise ValueError("axioms not independent")
@@ -325,10 +318,12 @@ def joint_distribution(
     probability 2^-r, exact in binary floating point; (r + 1) * m
     :func:`measure_forced` calls.
     """
-    m = len(obs_list)
-    for i, obs in enumerate(obs_list):
-        if any(symplectic_product(obs.vector, o.vector) for o in obs_list[i + 1 :]):
-            raise ValueError("not co-measurable")
+    m, n = len(obs_list), t._n
+    for obs in obs_list:
+        if obs.n_qubits != n:
+            raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
+    if not _commute_pairwise([o.vector.mask for o in obs_list], n):
+        raise ValueError("not co-measurable")
 
     def forced_pass(flip: Optional[int]):
         """Outcome bits (bit k set for -1, forced at ``flip``) and the indices

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from axiombox import cli
+from axiombox import cli, oracle, pauli
+from axiombox import stabilizer as stab
 
 GHZ_AXIOM_FILE = "-YYX\n-YXY\n-XYY\n"
 BELL_AXIOM_FILE = "+ZZ\n+XX\n"
@@ -238,6 +239,38 @@ class TestOracleCompare:
                            "--trials", "25", "--seed", "3")
         assert code == 0
         assert "verdict: agree" in out
+
+    def test_disagreement_names_the_worst_trial(self, capsys, monkeypatch):
+        """A dense result broken on trial 2 only: the printed axioms and
+        observables parse back to exactly that trial's inputs."""
+        drawn, measured = [], []
+        random_axioms, distribution = stab.random_axioms, oracle.distribution
+
+        def recording_axioms(n, rng):
+            drawn.append(random_axioms(n, rng))
+            return drawn[-1]
+
+        def broken_on_trial_two(state, observables):
+            measured.append(observables)
+            dist = distribution(state, observables)
+            if len(measured) != 3:
+                return dist
+            plus = (1,) * len(observables)  # all mass on a point it lacks
+            key = plus if dist.probability(plus) < 1.0 else tuple(-s for s in plus)
+            return stab.OutcomeDistribution({key: 1.0}, len(observables))
+
+        monkeypatch.setattr(stab, "random_axioms", recording_axioms)
+        monkeypatch.setattr(oracle, "distribution", broken_on_trial_two)
+        code, out, _ = run(capsys, "oracle-compare", "--n", "3",
+                           "--trials", "5", "--seed", "3")
+        assert code == 1
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        assert fields["verdict"] == "DISAGREE"
+        assert fields["worst_trial"] == "2"
+        axioms = [pauli.parse_observable(t) for t in fields["axioms"].split(",")]
+        assert [(a.vector, a.sign) for a in axioms] == drawn[2]
+        observables = fields["observables"].split(",")
+        assert [pauli.parse_observable(t) for t in observables] == measured[2]
 
 
 class TestDecayStudy:

@@ -86,3 +86,10 @@ def test_equals_frozen_walk_at_full_rank():
     dist = stab.joint_distribution(state, observables)
     assert len(dist.outcomes) == 2 ** 12
     assert dist.outcomes == walk_distribution(state, observables).outcomes
+
+
+def test_rejects_an_observable_of_another_size():
+    state = stab.prepare(stab.random_axioms(2, philox_rng(2, 2)))
+    observables = [pauli.parse_observable("ZZ"), pauli.parse_observable("ZZZ")]
+    with pytest.raises(ValueError, match="size mismatch: 3 vs 2 qubits"):
+        stab.joint_distribution(state, observables)

@@ -1,0 +1,160 @@
+"""The dense oracle's signed-permutation kernel against a frozen copy of the
+Kronecker/matmul oracle it replaced.
+
+``kron_pauli_matrix``, ``matmul_state_from_axioms`` and ``matmul_distribution``
+are that oracle as it stood: every observable a dense 2^N x 2^N Kronecker
+product, the projector a chain of dense matmuls and each walk node a dense
+mat-vec.  Every product in either version is an exact +-1 or +-i times a
+dyadic value (or an exactly rounded sum of two terms), so states and outcomes
+must be bit-identical, not merely close.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from axiombox import cli, oracle, pauli
+from axiombox import stabilizer as stab
+from axiombox.experiment import philox_rng
+from axiombox.gf2 import BitVector
+from axiombox.pauli import PauliOperator
+
+_SINGLE = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),  # i*X*Z
+}
+_BARE = {**_SINGLE, (1, 1): np.array([[0, -1], [1, 0]], dtype=complex)}  # X*Z
+
+
+def kron_term_matrix(p):
+    m = np.ones((1, 1), dtype=complex)
+    for xb, zb in zip(p.x, p.z):  # qubit 1 is the leftmost factor
+        m = np.kron(m, _BARE[xb, zb])
+    return (1j ** p.phase) * m
+
+
+def kron_pauli_matrix(obs):
+    m = np.ones((1, 1), dtype=complex)
+    for xb, zb in zip(obs.base.x, obs.base.z):
+        m = np.kron(m, _SINGLE[xb, zb])
+    return float(obs.sign) * m
+
+
+def matmul_state_from_axioms(pairs):
+    dim = 2 ** (len(pairs[0][0]) // 2)
+    projector = np.eye(dim, dtype=complex)
+    for vector, sign in pairs:
+        omega = kron_pauli_matrix(pauli.from_proposition(vector))
+        projector = projector @ (np.eye(dim, dtype=complex) + float(sign) * omega) / 2.0
+    for i in range(dim):
+        column = projector[:, i]
+        norm = np.linalg.norm(column)
+        if norm > 1e-9:
+            return column / norm
+    raise AssertionError("projector annihilated every basis vector")
+
+
+def matmul_distribution(state, obs_list):
+    matrices = [kron_pauli_matrix(o) for o in obs_list]
+    outcomes = {}
+
+    def walk(vec, index, signs):
+        if index == len(matrices):
+            prob = float(np.real(np.vdot(vec, vec)))
+            if prob > 1e-15:
+                outcomes[signs] = outcomes.get(signs, 0.0) + prob
+            return
+        m = matrices[index]
+        walk((vec + m @ vec) / 2.0, index + 1, signs + (1,))
+        walk((vec - m @ vec) / 2.0, index + 1, signs + (-1,))
+
+    walk(np.asarray(state, dtype=complex), 0, ())
+    return outcomes
+
+
+def random_case(n, m, seed):
+    """Signed axioms and m commuting observables: random ones with products of
+    earlier ones and negations mixed in, or (every third seed) random signed
+    products of the axioms, whose outcomes are all definite."""
+    rng = philox_rng(seed, 1000 * n + m)
+    axioms = stab.random_axioms(n, rng)
+    if seed % 3 == 2:
+        observables = []
+        for _ in range(m):
+            mask = 0
+            for (vector, _), bit in zip(axioms, rng.integers(0, 2, size=n)):
+                mask ^= vector.mask * int(bit)
+            obs = pauli.from_proposition(BitVector.from_mask(mask, 2 * n))
+            observables.append(obs.negated() if rng.random() < 0.5 else obs)
+        return axioms, observables
+    observables = stab.random_commuting_observables(n, m, rng)
+    for i in range(2, m):
+        if rng.random() < 0.3:
+            a, b = rng.choice(i, size=2, replace=False)
+            product = pauli.observable_product(observables[a], observables[b])
+            observables[i] = product.negated() if rng.random() < 0.5 else product
+    return axioms, observables
+
+
+CASES = [
+    (n, m, seed)
+    for n in range(1, 9)
+    for m in ((0, 1, n, 2 * n + 2) if n <= 6 else (1, n, 10))
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("n,m,seed", CASES)
+def test_equals_frozen_matmul_oracle(n, m, seed):
+    axioms, observables = random_case(n, m, seed)
+    state = oracle.state_from_axioms(axioms)
+    frozen = matmul_state_from_axioms(axioms)
+    assert np.array_equal(state, frozen)
+    got = oracle.distribution(state, observables).outcomes
+    want = matmul_distribution(frozen, observables)
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_term_matrix_equals_kron_for_every_pauli(n):
+    for mask, phase in itertools.product(range(4 ** n), range(4)):
+        p = PauliOperator.from_vector(BitVector.from_mask(mask, 2 * n), phase)
+        assert np.array_equal(oracle.pauli_term_matrix(p), kron_term_matrix(p))
+        if p.is_hermitian():
+            obs = pauli.SignedObservable.from_pauli(p)
+            assert np.array_equal(oracle.pauli_matrix(obs), kron_pauli_matrix(obs))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle.pauli_term_matrix(PauliOperator.identity(11)),
+        lambda: oracle.pauli_matrix(pauli.SignedObservable.identity(11)),
+        lambda: oracle.state_from_axioms(
+            [(BitVector.unit(11 + q, 22), 1) for q in range(11)]
+        ),
+        lambda: oracle.distribution(
+            np.ones(2 ** 11), [pauli.SignedObservable.identity(11)]
+        ),
+    ],
+    ids=["pauli_term_matrix", "pauli_matrix", "state_from_axioms", "distribution"],
+)
+def test_dense_cap_at_eleven_qubits(call):
+    with pytest.raises(ValueError, match="11 qubits exceeds the dense cap of 10"):
+        call()
+
+
+def test_oracle_compare_at_the_cap(capsys):
+    assert cli.main(["oracle-compare", "--n", "10", "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("trials: 2\n") and out.endswith("verdict: agree\n")
+
+
+def test_distribution_rejects_an_observable_of_another_size():
+    state = oracle.state_from_axioms([(pauli.parse_observable("ZZ").vector, 1),
+                                      (pauli.parse_observable("XX").vector, 1)])
+    with pytest.raises(ValueError, match="size mismatch: 3 vs 2 qubits"):
+        oracle.distribution(state, [pauli.parse_observable("ZZ"),
+                                    pauli.parse_observable("ZZZ")])
