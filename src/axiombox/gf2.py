@@ -255,23 +255,6 @@ def in_span(v: BitVector, basis: BitMatrix) -> Optional[BitVector]:
     return BitVector.from_mask(combo, basis.num_rows)
 
 
-def nullspace(matrix: BitMatrix) -> list:
-    """Basis of ``{v : matrix @ v == 0}`` over GF(2) (v as a column vector)."""
-    pivots = _echelon(matrix)
-    pivot_cols = {col: pm for col, pm, _ in pivots}
-    free_cols = [c for c in range(matrix.num_cols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        mask = 1 << free
-        # Back-substitute in reverse pivot order so each pivot entry is fixed
-        # once; echelon rows have no bits left of their own pivot column.
-        for col, pm, _ in reversed(pivots):
-            if (pm & mask).bit_count() & 1:
-                mask ^= 1 << col
-        basis.append(BitVector.from_mask(mask, matrix.num_cols))
-    return basis
-
-
 def symplectic_product(v1: BitVector, v2: BitVector) -> int:
     """Symplectic inner product of two ``(x-part | z-part)`` vectors.
 

@@ -43,7 +43,10 @@ class Proposition:
 
     @classmethod
     def from_string(cls, text: str) -> "Proposition":
-        """From Pauli letters, e.g. "XXX"; a leading sign is ignored."""
+        """From unsigned Pauli letters, e.g. "XXX".  A proposition has no sign,
+        so a leading "+" or "-" raises ValueError instead of being dropped."""
+        if text.strip()[:1] in ("+", "-"):
+            raise ValueError(f"a proposition takes unsigned Pauli letters, got {text!r}")
         return cls(pauli.parse_observable(text).vector)
 
     def observable(self) -> SignedObservable:

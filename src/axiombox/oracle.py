@@ -72,6 +72,8 @@ def state_from_axioms(axioms) -> DenseState:
     transposed, so that a column is a contiguous row.
     """
     pairs = axioms.generator_pairs() if hasattr(axioms, "generator_pairs") else list(axioms)
+    if not pairs:
+        raise ValueError("empty axiom list")
     n = len(pairs[0][0]) // 2
     _check_cap(n)
     columns = np.eye(2 ** n, dtype=complex)

@@ -26,10 +26,8 @@ from .gf2 import (
     _echelon,
     _reduce,
     _symplectic,
-    nullspace,
     rank,
     swap_halves,
-    symplectic_product,
 )
 from .pauli import SignedObservable
 
@@ -133,10 +131,10 @@ class OutcomeDistribution:
                 raise ValueError(f"sign vector {signs} has wrong length")
             if any(s not in (1, -1) for s in signs):
                 raise ValueError(f"sign vector {signs} must contain only +-1")
-            if prob < -_TOLERANCE:
-                raise ValueError(f"negative probability {prob} for {signs}")
+            if not prob >= -_TOLERANCE:  # written so that NaN fails too
+                raise ValueError(f"negative or NaN probability {prob} for {signs}")
             total += prob
-        if abs(total - 1.0) > _TOLERANCE:
+        if not abs(total - 1.0) <= _TOLERANCE:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self._outcomes = dict(outcomes)
         self._num_observables = num_observables
@@ -348,20 +346,26 @@ def joint_distribution(
     )
 
 
-def _complement(vectors: Sequence[BitVector], two_n: int) -> list:
-    """Basis of the symplectic complement of ``vectors`` (one elimination)."""
-    return nullspace(BitMatrix([swap_halves(v) for v in vectors], num_cols=two_n))
+def _draw_and_restrict(basis: List[int], n: int, rng) -> Tuple[int, bool]:
+    """Draw a uniform random element v of the span of ``basis``, a basis of
+    the symplectic complement of the vectors drawn before (2n-bit masks),
+    and restrict ``basis`` in place to the complement of v as well.
 
-
-def _random_orthogonal(complement: list, two_n: int, rng) -> BitVector:
-    """Uniform random element of the span of the ``complement`` basis."""
-    mask = 0
-    if complement:
-        picks = rng.integers(0, 2, size=len(complement))
-        for bit, basis_vec in zip(picks, complement):
-            if bit:
-                mask ^= basis_vec.mask
-    return BitVector.from_mask(mask, two_n)
+    One symplectic Gram-Schmidt step: the basis vectors that anticommute
+    with v take in the first of them, which is then dropped.  Returns v and
+    whether the basis shrank, which is exactly when v lies outside the span
+    of the earlier vectors (that span is the complement of the complement).
+    """
+    v = 0
+    for bit, b in zip(rng.integers(0, 2, size=len(basis)), basis):
+        if bit:
+            v ^= b
+    flips = [k for k, b in enumerate(basis) if _symplectic(b, v, n)]
+    if flips:
+        pivot = basis.pop(flips[0])
+        for k in flips[1:]:
+            basis[k - 1] ^= pivot
+    return v, bool(flips)
 
 
 def _random_sign(rng) -> int:
@@ -373,19 +377,18 @@ def random_axioms(n: int, rng) -> list:
     pairwise symplectically orthogonal and independent.
 
     Grown greedily: each new vector is a random element of the symplectic
-    orthogonal complement of the ones chosen so far, rejected if it falls in
-    their span (zero included).  That span is the symplectic complement of the
-    complement, so one elimination per accepted vector serves both steps.
+    complement of the ones chosen so far, rejected if it falls in their span
+    (zero included).  One complement basis, started at the 2N unit vectors and
+    restricted in place by :func:`_draw_and_restrict`, serves both steps, so
+    the whole set costs O(N^2) symplectic products and no elimination.
     """
-    two_n = 2 * n
-    vectors: List[BitVector] = []
-    complement = _complement(vectors, two_n)
+    basis = [1 << j for j in range(2 * n)]
+    vectors: List[int] = []
     while len(vectors) < n:
-        candidate = _random_orthogonal(complement, two_n, rng)
-        if any(symplectic_product(candidate, c) for c in complement):
-            vectors.append(candidate)
-            complement = _complement(vectors, two_n)
-    return [(v, _random_sign(rng)) for v in vectors]
+        v, independent = _draw_and_restrict(basis, n, rng)
+        if independent:
+            vectors.append(v)
+    return [(BitVector.from_mask(v, 2 * n), _random_sign(rng)) for v in vectors]
 
 
 def random_commuting_observables(n: int, count: int, rng) -> list:
@@ -394,10 +397,11 @@ def random_commuting_observables(n: int, count: int, rng) -> list:
     Unlike :func:`random_axioms`, linear dependence (and even the identity)
     is allowed; the list only has to be co-measurable.
     """
-    vectors: List[BitVector] = []
-    while len(vectors) < count:
-        vectors.append(_random_orthogonal(_complement(vectors, 2 * n), 2 * n, rng))
+    basis = [1 << j for j in range(2 * n)]
+    vectors = [_draw_and_restrict(basis, n, rng)[0] for _ in range(count)]
     return [
-        SignedObservable(pauli.from_proposition(v).base, _random_sign(rng))
+        SignedObservable(
+            pauli.from_proposition(BitVector.from_mask(v, 2 * n)).base, _random_sign(rng)
+        )
         for v in vectors
     ]

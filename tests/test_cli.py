@@ -55,6 +55,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: empty Pauli string") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("prop", ["-ZZ", "+ZZ"])
+    def test_signed_proposition_is_exit_one(self, tmp_path, capsys, prop):
+        bell = tmp_path / "bell.tab"
+        bell.write_text(BELL_AXIOM_FILE)
+        code, out, err = run(capsys, "check", "--axioms", str(bell), f"--prop={prop}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: a proposition takes unsigned Pauli letters, got '{prop}'\n"
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_is_exit_one(self, capsys, seed):
         code, out, err = run(capsys, "q1-demo", "--runs", "10", "--seed", seed)

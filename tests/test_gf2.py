@@ -9,7 +9,6 @@ from axiombox.gf2 import (
     BitMatrix,
     BitVector,
     in_span,
-    nullspace,
     rank,
     swap_halves,
     symplectic_product,
@@ -218,16 +217,3 @@ class TestIsotropicBases:
                     assert all(
                         symplectic_product(v, row) == 0 for row in basis
                     )
-
-
-class TestNullspace:
-    @settings(max_examples=100, deadline=None)
-    @given(bit_matrices(max_rows=8, max_cols=8))
-    def test_nullspace_vectors_annihilate(self, m):
-        basis = nullspace(m)
-        assert len(basis) == m.num_cols - rank(m)
-        for v in basis:
-            for row in m:
-                assert (row & v).parity() == 0
-        # basis vectors are independent
-        assert rank(BitMatrix(basis, num_cols=m.num_cols)) == len(basis)

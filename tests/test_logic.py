@@ -233,8 +233,10 @@ class TestGhzReport:
 
 
 class TestProposition:
-    def test_from_string_ignores_sign(self):
-        assert prop("XXX") == Proposition.from_string("-XXX")
+    def test_from_string_rejects_a_sign(self):
+        for text in ("-XXX", "+XXX", " -ZZ", "+"):
+            with pytest.raises(ValueError, match="unsigned Pauli letters"):
+                Proposition.from_string(text)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,10 @@ class TestStateFromAxioms:
         expected[0] = expected[7] = 1 / np.sqrt(2)
         assert abs(abs(np.vdot(expected, state)) - 1.0) < 1e-12
 
+    def test_empty_axiom_list_rejected(self):
+        with pytest.raises(ValueError, match="^empty axiom list$"):
+            oracle.state_from_axioms([])
+
     def test_accepts_axiom_set(self):
         axioms = AxiomSet([obs("ZZ").vector, obs("XX").vector], [0, 1])
         state = oracle.state_from_axioms(axioms)

@@ -304,6 +304,14 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             OutcomeDistribution({(0,): 1.0}, 1)
 
+    @pytest.mark.parametrize(
+        "outcomes",
+        [{(1,): float("nan")}, {(1,): 1.0, (-1,): float("nan")}, {(1,): -1e-3, (-1,): 1.001}],
+    )
+    def test_rejects_nan_and_negative_entries(self, outcomes):
+        with pytest.raises(ValueError, match="negative or NaN probability"):
+            OutcomeDistribution(outcomes, 1)
+
 
 class TestTextFormat:
     def test_roundtrip(self):

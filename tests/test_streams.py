@@ -4,6 +4,7 @@ The golden values below were recorded before the exact core was folded onto
 one elimination per axiom system; they must never change unless a change of
 stream is intended and announced.
 """
+import hashlib
 import io
 from contextlib import redirect_stdout
 
@@ -17,6 +18,12 @@ from axiombox.gf2 import BitMatrix, BitVector, in_span, swap_halves
 
 def masks(pairs):
     return [(v.mask, s) for v, s in pairs]
+
+
+def digest(pairs):
+    """sha256 of one "mask-in-hex,sign" line per (mask, sign) pair."""
+    text = "".join(f"{mask:x},{sign}\n" for mask, sign in pairs)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def cli_output(*argv):
@@ -41,6 +48,15 @@ class TestPinnedStreams:
         assert [(o.vector.mask, o.sign) for o in observables] == [
             (186, -1), (53, 1), (97, 1), (233, 1), (50, 1),
         ]
+
+    def test_large_n_digests(self):
+        assert digest(masks(stab.random_axioms(64, philox_rng(11)))) == (
+            "46cb16edae0042c99ea3a8405ebc7deacd5c3c57f66f2f3edcd49e20e45a474b"
+        )
+        observables = stab.random_commuting_observables(16, 50, philox_rng(12))
+        assert digest((o.vector.mask, o.sign) for o in observables) == (
+            "2ab8db9e50a3557b1978ac585354b6f34771db001c417d05a126dcb1f726913f"
+        )
 
     def test_prepared_tableau(self):
         tableau = stab.prepare(stab.random_axioms(4, philox_rng(2024)))
