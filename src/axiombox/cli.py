@@ -41,9 +41,9 @@ def _load_axiom_observables(path: str) -> list:
 
 
 def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
-    if getattr(args, "config", None):
+    if args.config is not None:
         cfg = _load_config(args.config)
-    elif getattr(args, "labels", None):
+    elif args.labels is not None:
         labels = [int(tok.strip().lstrip("yY")) for tok in args.labels.split(",")]
         cfg = bb.BlackBoxConfig.from_labels(labels)
     else:

@@ -37,31 +37,16 @@ def philox_rng(seed: int, substream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """I.i.d. outcome-bit flips plus multiplicative detector bias.
-
-    ``flip_prob`` is the chance each measured sign is reported inverted;
-    ``bias`` maps an outcome sign-vector to a positive detection weight
-    (unnormalized), default uniform.
-    """
+    """I.i.d. outcome-bit flips: ``flip_prob`` is the chance each measured
+    sign is reported inverted."""
 
     flip_prob: float = 0.0
-    bias: Optional[Dict[tuple, float]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.flip_prob < 0.5:
             raise ValueError(
                 f"flip_prob must lie in [0, 0.5), got {self.flip_prob}"
             )
-        if self.bias is not None:
-            if not self.bias:
-                raise ValueError("bias map must not be empty")
-            if any(w <= 0 for w in self.bias.values()):
-                raise ValueError("bias weights must be positive")
-
-    def weight(self, signs: tuple) -> float:
-        if self.bias is None:
-            return 1.0
-        return self.bias.get(signs, 1.0)
 
 
 @dataclass(frozen=True)
@@ -129,23 +114,31 @@ def sample(
 ) -> RunRecord:
     """Draw ``n_runs`` independent outcomes of the joint measurement.
 
-    The exact distribution is computed once, reweighted by detector bias,
-    sampled, and then every outcome bit is flipped independently with
-    probability ``noise.flip_prob``.
+    Each run is the k-th point, in sorted order, of the affine outcome set of
+    :func:`stabilizer._outcome_set` (at most 2^53 points), found without listing
+    the set; then every outcome bit is flipped with probability ``noise.flip_prob``.
     """
     if not 1 <= n_runs <= _RUN_CAP:
         raise ValueError(f"n_runs must lie in [1, {_RUN_CAP}], got {n_runs}")
     if not observables:
         raise ValueError("at least one observable is required")
     noise = noise or NoiseModel()
-    dist = stab.joint_distribution(state, observables)
-    support = dist.support()
-    weights = np.array([dist.probability(s) * noise.weight(s) for s in support])
-    weights = weights / weights.sum()
+    reference, columns = stab._outcome_set(state, observables)
+    r = len(columns)
+    if r > 53:
+        raise ValueError(f"{r} independent outcomes: sample draws at most 53")
 
     rng = philox_rng(seed, substream)
-    picks = rng.choice(len(support), size=n_runs, p=weights)
-    signs = np.array(support, dtype=np.int8)[picks]
+    picks = (rng.random(n_runs) * 2.0 ** r).astype(np.int64)  # as rng.choice draws
+    m = len(observables)
+    bits = np.array([[b >> k & 1 for k in range(m)] for b in [reference, *columns]], bool)
+    # -1 sorts first, so the k-th point has outcome bit 1 at the pivot p of
+    # column i exactly when bit r-1-i of k is 0; no other column touches p.
+    minus = np.tile(bits[0], (n_runs, 1))
+    for i, column in enumerate(columns):
+        p = (column & -column).bit_length() - 1
+        minus ^= (minus[:, p] == (picks >> (r - 1 - i) & 1))[:, None] & bits[i + 1]
+    signs = np.where(minus, -1, 1).astype(np.int8)
     if noise.flip_prob > 0.0:
         flips = rng.random(signs.shape) < noise.flip_prob
         signs = np.where(flips, -signs, signs)

@@ -303,20 +303,18 @@ def _measure(
     return MeasurementResult(outcome, MeasurementKind.RANDOM, post)
 
 
-def joint_distribution(
+def _outcome_set(
     t: StabilizerTableau, obs_list: Sequence[SignedObservable]
-) -> OutcomeDistribution:
-    """Exact outcome distribution for a list of pairwise-commuting observables.
-
-    Which measurements are random never depends on an outcome, and each
-    generator sign is an XOR of earlier random outcomes, so the outcomes form
-    an affine set: the reference pass (every random outcome forced to +1) XOR
-    any combination of r columns, column i being the pass that forces -1 at
-    random measurement i, XOR the reference.  Each of the 2^r points has
-    probability 2^-r, exact in binary floating point; (r + 1) * m
-    :func:`measure_forced` calls.
-    """
-    m, n = len(obs_list), t._n
+) -> Tuple[int, List[int]]:
+    """The affine set of joint outcomes of pairwise-commuting observables, in
+    outcome bits (bit k set for -1 at observable k).  Which measurements are
+    random never depends on an outcome, and each generator sign is an XOR of
+    earlier random outcomes, so the set is the reference pass (every random
+    outcome forced to +1) XOR any combination of r columns, column i being the
+    pass that forces -1 at random measurement i, XOR the reference; its lowest
+    set bit is at that measurement, its only bit at a random one.  (r + 1) * m
+    :func:`measure_forced` calls."""
+    n = t._n
     for obs in obs_list:
         if obs.n_qubits != n:
             raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
@@ -336,11 +334,20 @@ def joint_distribution(
         return bits, random
 
     reference, random = forced_pass(None)
+    return reference, [forced_pass(i)[0] ^ reference for i in random]
+
+
+def joint_distribution(
+    t: StabilizerTableau, obs_list: Sequence[SignedObservable]
+) -> OutcomeDistribution:
+    """Exact outcome distribution of pairwise-commuting observables: each of
+    the 2^r points of :func:`_outcome_set` has probability exactly 2^-r."""
+    m = len(obs_list)
+    reference, columns = _outcome_set(t, obs_list)
     support = [reference]
-    for i in random:
-        column = forced_pass(i)[0] ^ reference
+    for column in columns:
         support = [s for base in support for s in (base, base ^ column)]
-    prob = 0.5 ** len(random)
+    prob = 0.5 ** len(columns)
     return OutcomeDistribution(
         {tuple(-1 if s >> k & 1 else 1 for k in range(m)): prob for s in support}, m
     )
@@ -382,6 +389,8 @@ def random_axioms(n: int, rng) -> list:
     restricted in place by :func:`_draw_and_restrict`, serves both steps, so
     the whole set costs O(N^2) symplectic products and no elimination.
     """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got {n}")
     basis = [1 << j for j in range(2 * n)]
     vectors: List[int] = []
     while len(vectors) < n:
@@ -397,6 +406,8 @@ def random_commuting_observables(n: int, count: int, rng) -> list:
     Unlike :func:`random_axioms`, linear dependence (and even the identity)
     is allowed; the list only has to be co-measurable.
     """
+    if n < 1 or count < 0:
+        raise ValueError(f"need at least one qubit and count >= 0, got {n}, {count}")
     basis = [1 << j for j in range(2 * n)]
     vectors = [_draw_and_restrict(basis, n, rng)[0] for _ in range(count)]
     return [

@@ -236,6 +236,14 @@ class TestDemos:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("demo", ["ghz-demo", "q1-demo", "q2-demo"])
+    @pytest.mark.parametrize("flag", ["--labels", "--config"])
+    def test_empty_labels_or_config_is_exit_one(self, capsys, demo, flag):
+        code, out, err = run(capsys, demo, flag, "", "--runs", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_config_size_mismatch(self, capsys):
         code, _, err = run(capsys, "q1-demo", "--labels", "y1,y2")
         assert code == 1

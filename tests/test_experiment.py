@@ -29,20 +29,12 @@ class TestNoiseModel:
     def test_defaults(self):
         noise = NoiseModel()
         assert noise.flip_prob == 0.0
-        assert noise.weight((1, 1)) == 1.0
 
     def test_flip_prob_range(self):
         with pytest.raises(ValueError):
             NoiseModel(flip_prob=0.5)
         with pytest.raises(ValueError):
             NoiseModel(flip_prob=-0.1)
-
-    def test_bias_validation(self):
-        with pytest.raises(ValueError):
-            NoiseModel(bias={(1,): 0.0})
-        noise = NoiseModel(bias={(1,): 2.0})
-        assert noise.weight((1,)) == 2.0
-        assert noise.weight((-1,)) == 1.0
 
 
 class TestSample:
@@ -83,11 +75,6 @@ class TestSample:
         record = xp.sample(z_plus(), [obs("+Z")], 10_000, seed=9,
                            noise=NoiseModel(flip_prob=0.1))
         assert abs(record.frequency((-1,)) - 0.1) < 0.02
-
-    def test_bias_reweights(self):
-        record = xp.sample(z_plus(), [obs("+X")], 30_000, seed=10,
-                           noise=NoiseModel(bias={(1,): 3.0}))
-        assert abs(record.frequency((1,)) - 0.75) < 0.02
 
     def test_invalid_runs(self):
         with pytest.raises(ValueError):

@@ -107,3 +107,15 @@ def test_random_commuting_observables_match_the_frozen_generator(n, count):
     got = [(o.vector.mask, o.sign) for o in stab.random_commuting_observables(n, count, rng)]
     assert got == frozen_random_commuting_observables(n, count, frozen_rng)
     assert rng.random() == frozen_rng.random()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_axioms_rejects_fewer_than_one_qubit(n):
+    with pytest.raises(ValueError, match="at least one qubit"):
+        stab.random_axioms(n, philox_rng(1))
+
+
+@pytest.mark.parametrize("n, count", [(0, 2), (-1, 1), (2, -3)])
+def test_random_commuting_observables_rejects_bad_sizes(n, count):
+    with pytest.raises(ValueError, match="at least one qubit and count >= 0"):
+        stab.random_commuting_observables(n, count, philox_rng(1))
