@@ -100,6 +100,11 @@ def cmd_measure(args) -> int:
 def cmd_sample(args) -> int:
     tableau = stab.StabilizerTableau.from_text(Path(args.state).read_text())
     observables = [pauli.parse_observable(tok) for tok in args.obs.split(",")]
+    if 2 ** len(observables) > xp._RUN_CAP:  # the CSV lists every outcome
+        raise ValueError(
+            f"--obs lists {len(observables)} observables, whose "
+            f"2^{len(observables)} outcome rows exceed {xp._RUN_CAP}"
+        )
     record = xp.sample(
         tableau, observables, args.runs, args.seed, _noise_from_args(args)
     )

@@ -147,7 +147,7 @@ def sample(
     packed = np.packbits(signs > 0, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
     _, first, tallies = np.unique(keys, return_index=True, return_counts=True)
-    counts = {tuple(int(s) for s in signs[i]): int(t) for i, t in zip(first, tallies)}
+    counts = dict(zip(map(tuple, signs[first].tolist()), tallies.tolist()))
     return RunRecord(
         seed=seed,
         n_runs=n_runs,

@@ -69,13 +69,20 @@ def state_from_axioms(axioms) -> DenseState:
     ``prod_p (1 + sign_p * Omega_p)/2`` to computational basis vectors in
     order until one survives.  Right-multiplying by ``Omega_p`` permutes and
     scales the columns, so each factor costs O(4^N); the projector is kept
-    transposed, so that a column is a contiguous row.
+    transposed, so that a column is a contiguous row.  The axioms must commute
+    and fix exactly one state: the product of commuting projectors is a
+    projector, its trace is its rank, and every entry is an exact dyadic, so
+    the trace must be exactly 1.
     """
     pairs = axioms.generator_pairs() if hasattr(axioms, "generator_pairs") else list(axioms)
     if not pairs:
         raise ValueError("empty axiom list")
     n = len(pairs[0][0]) // 2
     _check_cap(n)
+    if any(sign not in (1, -1) for _, sign in pairs):
+        raise ValueError("axiom signs must be +1 or -1")
+    if not _commute_pairwise([vector.mask for vector, _ in pairs], n):
+        raise ValueError("axioms not co-measurable")
     columns = np.eye(2 ** n, dtype=complex)
     for vector, sign in pairs:
         perm, factors = _signed_permutation(from_proposition(vector).base, sign)
@@ -84,11 +91,11 @@ def state_from_axioms(axioms) -> DenseState:
         applied += columns
         applied *= 0.5  # exactly /2, and far cheaper on complex arrays
         columns = applied
-    for column in columns:
-        norm = np.linalg.norm(column)
-        if norm > 1e-9:
-            return column / norm
-    raise ValueError("projector annihilated every basis vector; axioms invalid")
+    rank = np.trace(columns)
+    if rank != 1:
+        raise ValueError(f"axioms fix a space of dimension {rank.real:g}, not 1")
+    column = next(c for c in columns if np.linalg.norm(c) > 1e-9)
+    return column / np.linalg.norm(column)
 
 
 def distribution(

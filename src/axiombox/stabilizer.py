@@ -2,20 +2,22 @@
 Pauli measurement with collapse, and exact joint outcome distributions.
 
 A tableau holds N commuting generators (the encoded axioms) as 2N-bit (x|z)
-int masks with signs of +-1, plus N destabilizer masks, one anticommutation
-partner per generator (the CHP layout of quant-ph/0406196).  The pairing turns
-"which generators multiply to this observable" into N symplectic products, so
-a deterministic measurement costs O(N^2) bit operations and is phase-exact,
-and a collapse is XORs of masks plus one phase bit per sign.
+int masks with GF(2) sign bits (1 for -1), plus N destabilizer masks, one
+anticommutation partner per generator (the CHP layout of quant-ph/0406196).
+The pairing turns "which generators multiply to this observable" into N
+symplectic products, so a deterministic measurement costs O(N^2) bit
+operations and is phase-exact, and a collapse is XORs of masks and sign bits.
 
 Tableaus are value-like: measurement returns a fresh post-state instead of
-mutating, so states can be shared; joint outcomes need no branching.
+mutating, so states can be shared.  Signs only XOR, so they may be affine forms
+over free outcomes: one pass of m measurements gives the joint outcome set.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import pauli
 from .blackbox import BlackBoxConfig, axiom_truths
@@ -40,7 +42,7 @@ class MeasurementKind(Enum):
 
 
 class StabilizerTableau:
-    """N-qubit stabilizer state as signed generator masks plus destabilizer masks."""
+    """N-qubit stabilizer state: generator masks, sign bits, destabilizer masks."""
 
     __slots__ = ("_n", "_gens", "_signs", "_destabs")
 
@@ -64,7 +66,7 @@ class StabilizerTableau:
     def generators(self) -> tuple:
         """The signed generators, built from the masks on each read."""
         return tuple(
-            SignedObservable(pauli.from_proposition(v).base, s)
+            SignedObservable(pauli.from_proposition(v).base, -1 if s else 1)
             for v, s in zip(self.generator_matrix(), self._signs)
         )
 
@@ -215,7 +217,8 @@ def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
         vectors, lambda vs: BitMatrix([swap_halves(v) for v in vs]).transpose()
     )
     destabs = [_reduce(1 << p, pivots)[1] for p in range(len(vectors))]
-    return StabilizerTableau(len(vectors), [v.mask for v in vectors], signs, destabs)
+    bits = [int(s < 0) for s in signs]
+    return StabilizerTableau(len(vectors), [v.mask for v in vectors], bits, destabs)
 
 
 def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTableau:
@@ -224,7 +227,7 @@ def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTable
     if cfg.n != t._n:
         raise ValueError(f"size mismatch: {t._n} qubits vs {cfg.n} functions")
     truths = axiom_truths([BitVector.from_mask(g, 2 * t._n) for g in t._gens], cfg)
-    signs = [-s if b else s for s, b in zip(t._signs, truths)]
+    signs = [s ^ b for s, b in zip(t._signs, truths)]
     return StabilizerTableau(t._n, t._gens, signs, t._destabs)
 
 
@@ -235,13 +238,13 @@ def _collapse(
     anticommuting: Sequence[int],
 ) -> StabilizerTableau:
     """Standard anticommuting-generator replacement with destabilizer upkeep;
-    generator q becomes the measured ``sign * C(ov)``."""
+    generator q becomes C(ov) with sign bit ``sign``."""
     n = t._n
     q = anticommuting[0]
     gens, signs, destabs = list(t._gens), list(t._signs), list(t._destabs)
     gq, sq = gens[q], signs[q]
     for p in anticommuting[1:]:
-        signs[p] *= sq * (-1) ** pauli.phase_bit(gens[p] ^ gq, [gens[p], gq], n)
+        signs[p] ^= sq ^ pauli.phase_bit(gens[p] ^ gq, [gens[p], gq], n)
         gens[p] ^= gq
     for p, d in enumerate(destabs):
         if p != q and _symplectic(ov, d, n):
@@ -261,7 +264,13 @@ def measure(
     each, drawn from ``rng`` (a ``numpy.random.Generator`` or anything with
     a ``random()`` method); the module never owns a seed.
     """
-    return _measure(t, obs, rng, None)
+    def draw() -> int:
+        if rng is None:
+            raise ValueError("random measurement outcome requires an rng")
+        return int(rng.random() >= 0.5)
+
+    bit, kind, post = _measure(t, obs, draw)
+    return MeasurementResult(-1 if bit else 1, kind, post)
 
 
 def measure_forced(
@@ -273,14 +282,16 @@ def measure_forced(
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    return _measure(t, obs, None, outcome)
+    bit, kind, post = _measure(t, obs, lambda: int(outcome < 0))
+    return MeasurementResult(-1 if bit else 1, kind, post)
 
 
 def _measure(
-    t: StabilizerTableau, obs: SignedObservable, rng, outcome
-) -> MeasurementResult:
-    """The one body of :func:`measure` and :func:`measure_forced`; a random
-    branch draws from ``rng`` when ``outcome`` is None."""
+    t: StabilizerTableau, obs: SignedObservable, random_bit: Callable[[], int]
+) -> Tuple[int, MeasurementKind, StabilizerTableau]:
+    """The one measurement body: ``(outcome bit, kind, post-state)``, a random
+    branch taking its bit from ``random_bit()``.  Only XORs touch the sign
+    bits, so they may be affine forms (see :func:`_outcome_set`)."""
     n = t._n
     if obs.n_qubits != n:
         raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
@@ -290,30 +301,25 @@ def _measure(
         # The destabilizer pairing picks the generators g_p with
         # C(obs) = (-1)^c * prod_p C(g_p); the outcome follows exactly.
         factors = [p for p, d in enumerate(t._destabs) if _symplectic(ov, d, n)]
-        c = pauli.phase_bit(ov, [t._gens[p] for p in factors], n)
-        definite = obs.sign * (-1) ** c
+        bit = int(obs.sign < 0) ^ pauli.phase_bit(ov, [t._gens[p] for p in factors], n)
         for p in factors:
-            definite *= t._signs[p]
-        return MeasurementResult(definite, MeasurementKind.DETERMINISTIC, t)
-    if outcome is None:
-        if rng is None:
-            raise ValueError("random measurement outcome requires an rng")
-        outcome = 1 if rng.random() < 0.5 else -1
-    post = _collapse(t, ov, outcome * obs.sign, anticommuting)
-    return MeasurementResult(outcome, MeasurementKind.RANDOM, post)
+            bit ^= t._signs[p]
+        return bit, MeasurementKind.DETERMINISTIC, t
+    bit = random_bit()
+    post = _collapse(t, ov, bit ^ int(obs.sign < 0), anticommuting)
+    return bit, MeasurementKind.RANDOM, post
 
 
 def _outcome_set(
     t: StabilizerTableau, obs_list: Sequence[SignedObservable]
 ) -> Tuple[int, List[int]]:
     """The affine set of joint outcomes of pairwise-commuting observables, in
-    outcome bits (bit k set for -1 at observable k).  Which measurements are
-    random never depends on an outcome, and each generator sign is an XOR of
-    earlier random outcomes, so the set is the reference pass (every random
-    outcome forced to +1) XOR any combination of r columns, column i being the
-    pass that forces -1 at random measurement i, XOR the reference; its lowest
-    set bit is at that measurement, its only bit at a random one.  (r + 1) * m
-    :func:`measure_forced` calls."""
+    outcome bits (bit k set for -1 at observable k): the reference XOR any
+    combination of r columns.  One pass in which random measurement i takes
+    the fresh variable 2 << i makes every sign and outcome an affine form, bit
+    0 its constant and bit i + 1 its coefficient of free outcome i; the
+    reference and column i collect bits 0 and i + 1.  A column's lowest set
+    bit is at its own random measurement, its only bit at a random one."""
     n = t._n
     for obs in obs_list:
         if obs.n_qubits != n:
@@ -321,20 +327,14 @@ def _outcome_set(
     if not _commute_pairwise([o.vector.mask for o in obs_list], n):
         raise ValueError("not co-measurable")
 
-    def forced_pass(flip: Optional[int]):
-        """Outcome bits (bit k set for -1, forced at ``flip``) and the indices
-        of the random measurements."""
-        state, bits, random = t, 0, []
-        for k, obs in enumerate(obs_list):
-            result = measure_forced(state, obs, -1 if k == flip else 1)
-            state = result.post_state
-            bits |= (result.outcome == -1) << k
-            if result.kind is MeasurementKind.RANDOM:
-                random.append(k)
-        return bits, random
-
-    reference, random = forced_pass(None)
-    return reference, [forced_pass(i)[0] ^ reference for i in random]
+    fresh = (2 << i for i in itertools.count()).__next__
+    state, forms = t, []
+    for obs in obs_list:
+        form, _, state = _measure(state, obs, fresh)
+        forms.append(form)
+    r = max([1, *map(int.bit_length, forms)]) - 1  # random outcome i has form 2 << i
+    sets = [sum((f >> i & 1) << k for k, f in enumerate(forms)) for i in range(r + 1)]
+    return sets[0], sets[1:]
 
 
 def joint_distribution(

@@ -101,4 +101,5 @@ def test_cli_sample_beyond_53_is_exit_one(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err == "error: 54 independent outcomes: sample draws at most 53\n"
+    # The CLI lists every outcome row, so it stops at the observable count first.
+    assert err == "error: --obs lists 54 observables, whose 2^54 outcome rows exceed 1000000\n"

@@ -92,6 +92,8 @@ class TestExitCodes:
              "--trials must lie in [1, 1000000], got -3"),
             (["oracle-compare", "--n", "1", "--trials", "1000001"],
              "--trials must lie in [1, 1000000], got 1000001"),
+            (["sample", "--state", "{bell}", "--obs", ",".join(["ZI"] * 20)],
+             "--obs lists 20 observables, whose 2^20 outcome rows exceed 1000000"),
         ],
     )
     def test_size_outside_cap_is_exit_one(self, tmp_path, capsys, argv, message):

@@ -91,6 +91,9 @@ SIZE_TEMPLATES = {
     "oracle-compare --trials": (["oracle-compare", "--n", "1", "--trials={tok}"],
                                 sizes(50, _RUN_CAP + 1)),
     "enumerate --n": (["enumerate", "--n={tok}"], sizes(8, 9)),
+    "sample --obs": (["sample", "--state", "{bell}", "--obs={tok}", "--runs", "10"],
+                     (st.integers(1, 4) | st.integers(20, 60))
+                     .map(lambda m: ",".join(["ZI"] * m))),
 }
 
 

@@ -1,9 +1,12 @@
-"""joint_distribution against a frozen copy of the branching walk it replaced.
+"""joint_distribution against frozen copies of the code it replaced.
 
-``walk_distribution`` is that walk as it stood: it measures the observables in
-order and, on every random outcome, branches into both forced results.  It
-makes up to 2^(r+1) calls to ``measure_forced``, so it is kept here only as
-the reference for exact equality.
+``walk_distribution`` is the branching walk as it stood: it measures the
+observables in order and, on every random outcome, branches into both forced
+results.  It makes up to 2^(r+1) calls to ``measure_forced``.
+``forced_outcome_set`` is ``stabilizer._outcome_set`` as it stood before the
+one pass: a reference pass with every random outcome forced to +1, then one
+pass per random measurement forcing it to -1, (r + 1) * m ``measure_forced``
+calls.  Both are kept here only as references for exact equality.
 """
 import math
 
@@ -65,24 +68,62 @@ def test_equals_frozen_walk(n, m, seed):
     )
 
 
-@pytest.mark.parametrize("n,m,seed", [(4, 10, 0), (8, 12, 1), (16, 12, 2), (16, 6, 3)])
-def test_at_most_r_plus_one_passes(monkeypatch, n, m, seed):
+def forced_outcome_set(t, obs_list):
+    def forced_pass(flip):
+        state, bits, random = t, 0, []
+        for k, obs in enumerate(obs_list):
+            result = stab.measure_forced(state, obs, -1 if k == flip else 1)
+            state = result.post_state
+            bits |= (result.outcome == -1) << k
+            if result.kind is MeasurementKind.RANDOM:
+                random.append(k)
+        return bits, random
+
+    reference, random = forced_pass(None)
+    return reference, [forced_pass(i)[0] ^ reference for i in random]
+
+
+def full_rank_case(n, m):
+    """A prepared state and m random commuting observables, none collapsed."""
+    rng = philox_rng(n, m)
+    state = stab.prepare(stab.random_axioms(n, rng))
+    return state, stab.random_commuting_observables(n, m, rng)
+
+
+ONE_PASS = [
+    (n, m, seed) for n in range(1, 17) for m in sorted({1, n, 2 * n + 2}) for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("n,m,seed", ONE_PASS + [(64, 70, 0), (64, 70, 1)])
+def test_one_pass_equals_frozen_forced_passes(n, m, seed):
     state, observables = random_case(n, m, seed)
-    calls = []
-    forced = stab.measure_forced
-    monkeypatch.setattr(
-        stab, "measure_forced", lambda *args: calls.append(1) or forced(*args)
-    )
+    assert stab._outcome_set(state, observables) == forced_outcome_set(state, observables)
+
+
+def test_one_pass_equals_frozen_forced_passes_beyond_53_free_outcomes():
+    """Masks wider than 64 bits and r above the 53 that ``sample`` can draw."""
+    state, observables = full_rank_case(64, 70)
+    reference, columns = stab._outcome_set(state, observables)
+    assert len(columns) > 53
+    assert (reference, columns) == forced_outcome_set(state, observables)
+
+
+@pytest.mark.parametrize("n,m,seed", [(4, 10, 0), (8, 12, 1), (16, 12, 2), (16, 6, 3)])
+def test_one_pass_of_m_measurements(monkeypatch, n, m, seed):
+    state, observables = random_case(n, m, seed)
+    calls, forced = [], []
+    measure = stab._measure
+    monkeypatch.setattr(stab, "_measure", lambda *args: calls.append(1) or measure(*args))
+    monkeypatch.setattr(stab, "measure_forced", lambda *args: forced.append(1))
     dist = stab.joint_distribution(state, observables)
     r = int(math.log2(len(dist.outcomes)))
     assert set(dist.outcomes.values()) == {0.5 ** r}
-    assert 0 < len(calls) <= (r + 1) * m
+    assert (len(calls), len(forced)) == (m, 0)
 
 
 def test_equals_frozen_walk_at_full_rank():
-    rng = philox_rng(16, 12)
-    state = stab.prepare(stab.random_axioms(16, rng))
-    observables = stab.random_commuting_observables(16, 12, rng)
+    state, observables = full_rank_case(16, 12)
     dist = stab.joint_distribution(state, observables)
     assert len(dist.outcomes) == 2 ** 12
     assert dist.outcomes == walk_distribution(state, observables).outcomes

@@ -87,6 +87,29 @@ class TestStateFromAxioms:
         with pytest.raises(ValueError, match="^empty axiom list$"):
             oracle.state_from_axioms([])
 
+    def test_non_commuting_axioms_rejected(self):
+        with pytest.raises(ValueError, match="^axioms not co-measurable$"):
+            oracle.state_from_axioms([(obs("ZZ").vector, 1), (obs("XZ").vector, 1)])
+
+    def test_sign_other_than_plus_or_minus_one_rejected(self):
+        with pytest.raises(ValueError, match="^axiom signs must be"):
+            oracle.state_from_axioms([(obs("ZZ").vector, 2), (obs("XX").vector, 1)])
+
+    @pytest.mark.parametrize(
+        "axioms, dimension",
+        [
+            ([("ZZ", 1), ("ZZ", 1)], 2),  # dependent
+            ([("ZI", 1)], 2),  # too few
+            ([("ZZ", 1), ("ZZ", -1)], 0),  # inconsistent
+        ],
+        ids=["dependent", "too_few", "inconsistent"],
+    )
+    def test_axioms_that_do_not_fix_one_state_rejected(self, axioms, dimension):
+        pairs = [(obs(s).vector, sign) for s, sign in axioms]
+        message = f"^axioms fix a space of dimension {dimension}, not 1$"
+        with pytest.raises(ValueError, match=message):
+            oracle.state_from_axioms(pairs)
+
     def test_accepts_axiom_set(self):
         axioms = AxiomSet([obs("ZZ").vector, obs("XX").vector], [0, 1])
         state = oracle.state_from_axioms(axioms)
