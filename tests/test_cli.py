@@ -74,9 +74,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["oracle-compare", "--n", "11", "--trials", "1"], "--n must lie in [1, 10], got 11"),
-            (["oracle-compare", "--n", "40", "--trials", "1"], "--n must lie in [1, 10], got 40"),
-            (["oracle-compare", "--n", "0"], "--n must lie in [1, 10], got 0"),
+            (["oracle-compare", "--n", "13", "--trials", "1"], "--n must lie in [1, 12], got 13"),
+            (["oracle-compare", "--n", "40", "--trials", "1"], "--n must lie in [1, 12], got 40"),
+            (["oracle-compare", "--n", "0"], "--n must lie in [1, 12], got 0"),
             (["enumerate", "--n", "9"], "--n must lie in [1, 8], got 9"),
             (["enumerate", "--n", "1000000000"], "--n must lie in [1, 8], got 1000000000"),
             (["q1-demo", "--runs", "10000000000000"],

@@ -79,7 +79,7 @@ def sizes(small, large):
 
 
 # Size options: every value in range that the strategy draws is cheap to run;
-# the slow ones in range (oracle-compare at n = 9, 10, a million runs) are
+# the slow ones in range (oracle-compare at n = 9 to 12, a million runs) are
 # valid input, not malformed.
 SIZE_TEMPLATES = {
     "sample --runs": (["sample", "--state", "{bell}", "--obs", "ZI,IZ", "--runs={tok}"],
@@ -87,7 +87,7 @@ SIZE_TEMPLATES = {
     "q1-demo --runs": (["q1-demo", "--runs={tok}"], sizes(50, _RUN_CAP + 1)),
     "decay-study --trials": (["decay-study", "--trials={tok}", "--lengths", "10"],
                              sizes(50, _RUN_CAP + 1)),
-    "oracle-compare --n": (["oracle-compare", "--n={tok}", "--trials", "1"], sizes(8, 11)),
+    "oracle-compare --n": (["oracle-compare", "--n={tok}", "--trials", "1"], sizes(8, 13)),
     "oracle-compare --trials": (["oracle-compare", "--n", "1", "--trials={tok}"],
                                 sizes(50, _RUN_CAP + 1)),
     "enumerate --n": (["enumerate", "--n={tok}"], sizes(8, 9)),

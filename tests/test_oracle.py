@@ -42,7 +42,7 @@ class TestPauliMatrix:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="dense cap"):
-            oracle.pauli_matrix(pauli.SignedObservable.identity(11))
+            oracle.pauli_matrix(pauli.SignedObservable.identity(13))
 
     def test_respects_multiply_with_phase(self):
         rng = np.random.default_rng(22)
@@ -94,6 +94,19 @@ class TestStateFromAxioms:
     def test_sign_other_than_plus_or_minus_one_rejected(self):
         with pytest.raises(ValueError, match="^axiom signs must be"):
             oracle.state_from_axioms([(obs("ZZ").vector, 2), (obs("XX").vector, 1)])
+
+    @pytest.mark.parametrize(
+        "axioms",
+        [["ZI", "IIZ"], ["ZZ", "IIII"], ["ZZ", "ZIII"]],
+        ids=["shorter_first", "identity_of_another_size", "commuting_masks"],
+    )
+    def test_axioms_of_different_lengths_rejected(self, axioms):
+        with pytest.raises(ValueError, match="^axiom vectors have inconsistent lengths$"):
+            oracle.state_from_axioms([(obs(s).vector, 1) for s in axioms])
+
+    def test_axiom_of_odd_length_rejected(self):
+        with pytest.raises(ValueError, match="^proposition vector must have even length, got 3$"):
+            oracle.state_from_axioms([(BitVector("101"), 1)])
 
     @pytest.mark.parametrize(
         "axioms, dimension",
@@ -158,3 +171,11 @@ class TestDistribution:
         state = oracle.state_from_axioms([(BitVector("01"), 1)])
         with pytest.raises(ValueError, match="not co-measurable"):
             oracle.distribution(state, [obs("+Z"), obs("+X")])
+
+    @pytest.mark.parametrize(
+        "state", [np.ones(6), np.ones(1), np.ones(0), np.ones((2, 2)), 1.0],
+        ids=["six", "one", "empty", "matrix", "scalar"],
+    )
+    def test_state_of_no_qubits_or_not_a_power_of_two_rejected(self, state):
+        with pytest.raises(ValueError, match=r"^a state needs 2\^N >= 2 amplitudes, got shape"):
+            oracle.distribution(state, [obs("ZZ")])

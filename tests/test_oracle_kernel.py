@@ -1,18 +1,24 @@
-"""The dense oracle's signed-permutation kernel against a frozen copy of the
-Kronecker/matmul oracle it replaced.
+"""The dense oracle's signed-permutation kernel against frozen copies of the
+oracles it replaced, and its independence from the tableau code.
 
 ``kron_pauli_matrix``, ``matmul_state_from_axioms`` and ``matmul_distribution``
-are that oracle as it stood: every observable a dense 2^N x 2^N Kronecker
+are the Kronecker/matmul oracle: every observable a dense 2^N x 2^N Kronecker
 product, the projector a chain of dense matmuls and each walk node a dense
-mat-vec.  Every product in either version is an exact +-1 or +-i times a
-dyadic value (or an exactly rounded sum of two terms), so states and outcomes
-must be bit-identical, not merely close.
+mat-vec.  ``projector_state_from_axioms`` and ``unpruned_distribution`` are the
+signed-permutation oracle before it scanned single basis vectors and cut zero
+branches: the whole projector built column by column, every walk leaf visited.
+Every product in any version is an exact +-1 or +-i times a dyadic value (or
+an exactly rounded sum of two terms), so states and outcomes must be
+bit-identical, not merely close.
 """
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import axiombox
 from axiombox import cli, oracle, pauli
 from axiombox import stabilizer as stab
 from axiombox.experiment import philox_rng
@@ -74,6 +80,50 @@ def matmul_distribution(state, obs_list):
     return outcomes
 
 
+def loop_signed_permutation(p, sign=1):
+    n = p.n_qubits
+    x, z = (int(format(v.mask, f"0{n}b")[::-1], 2) for v in (p.x, p.z))
+    c = np.arange(2 ** n)
+    odd = np.zeros(2 ** n, dtype=bool)
+    for b in range(n):
+        if z >> b & 1:
+            odd ^= (c >> b & 1).astype(bool)
+    return c ^ x, np.where(odd, -1, 1) * (sign * np.array([1, 1j, -1, -1j])[p.phase])
+
+
+def projector_state_from_axioms(pairs):
+    columns = np.eye(2 ** (len(pairs[0][0]) // 2), dtype=complex)
+    for vector, sign in pairs:
+        perm, factors = loop_signed_permutation(pauli.from_proposition(vector).base, sign)
+        applied = columns[perm]
+        applied *= factors[:, None]
+        applied += columns
+        applied *= 0.5
+        columns = applied
+    assert np.trace(columns) == 1
+    column = next(c for c in columns if np.linalg.norm(c) > 1e-9)
+    return column / np.linalg.norm(column)
+
+
+def unpruned_distribution(state, obs_list):
+    actions = [loop_signed_permutation(o.base, o.sign) for o in obs_list]
+    outcomes = {}
+
+    def walk(vec, index, signs):
+        if index == len(actions):
+            prob = float(np.real(np.vdot(vec, vec)))
+            if prob > 1e-15:
+                outcomes[signs] = outcomes.get(signs, 0.0) + prob
+            return
+        perm, factors = actions[index]
+        applied = (factors * vec)[perm]
+        walk((vec + applied) * 0.5, index + 1, signs + (1,))
+        walk((vec - applied) * 0.5, index + 1, signs + (-1,))
+
+    walk(np.asarray(state, dtype=complex), 0, ())
+    return outcomes
+
+
 def random_case(n, m, seed):
     """Signed axioms and m commuting observables: random ones with products of
     earlier ones and negations mixed in, or (every third seed) random signed
@@ -117,6 +167,30 @@ def test_equals_frozen_matmul_oracle(n, m, seed):
     assert list(got.items()) == list(want.items())
 
 
+@pytest.mark.parametrize(
+    "n,m,seed",
+    [(n, m, seed) for n in range(1, 11) for m in sorted({1, n, n + 2}) for seed in range(3)],
+)
+def test_equals_frozen_projector_oracle(n, m, seed):
+    axioms, observables = random_case(n, m, seed)
+    state = oracle.state_from_axioms(axioms)
+    frozen = projector_state_from_axioms(axioms)
+    assert np.array_equal(state, frozen)
+    got = oracle.distribution(state, observables).outcomes
+    assert list(got.items()) == list(unpruned_distribution(frozen, observables).items())
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_tableau_agrees_with_the_oracle_up_to_the_cap(n):
+    rng = philox_rng(n)
+    for _ in range(2):
+        axioms = stab.random_axioms(n, rng)
+        observables = stab.random_commuting_observables(n, n, rng)
+        exact = stab.joint_distribution(stab.prepare(axioms), observables)
+        dense = oracle.distribution(oracle.state_from_axioms(axioms), observables)
+        assert exact.max_deviation(dense) < cli.ORACLE_TOLERANCE
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_term_matrix_equals_kron_for_every_pauli(n):
     for mask, phase in itertools.product(range(4 ** n), range(4)):
@@ -130,24 +204,24 @@ def test_term_matrix_equals_kron_for_every_pauli(n):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: oracle.pauli_term_matrix(PauliOperator.identity(11)),
-        lambda: oracle.pauli_matrix(pauli.SignedObservable.identity(11)),
+        lambda: oracle.pauli_term_matrix(PauliOperator.identity(13)),
+        lambda: oracle.pauli_matrix(pauli.SignedObservable.identity(13)),
         lambda: oracle.state_from_axioms(
-            [(BitVector.unit(11 + q, 22), 1) for q in range(11)]
+            [(BitVector.unit(13 + q, 26), 1) for q in range(13)]
         ),
         lambda: oracle.distribution(
-            np.ones(2 ** 11), [pauli.SignedObservable.identity(11)]
+            np.ones(2 ** 13), [pauli.SignedObservable.identity(13)]
         ),
     ],
     ids=["pauli_term_matrix", "pauli_matrix", "state_from_axioms", "distribution"],
 )
-def test_dense_cap_at_eleven_qubits(call):
-    with pytest.raises(ValueError, match="11 qubits exceeds the dense cap of 10"):
+def test_dense_cap_at_thirteen_qubits(call):
+    with pytest.raises(ValueError, match="13 qubits exceeds the dense cap of 12"):
         call()
 
 
 def test_oracle_compare_at_the_cap(capsys):
-    assert cli.main(["oracle-compare", "--n", "10", "--trials", "2"]) == 0
+    assert cli.main(["oracle-compare", "--n", "12", "--trials", "2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("trials: 2\n") and out.endswith("verdict: agree\n")
 
@@ -158,3 +232,27 @@ def test_distribution_rejects_an_observable_of_another_size():
     with pytest.raises(ValueError, match="size mismatch: 3 vs 2 qubits"):
         oracle.distribution(state, [pauli.parse_observable("ZZ"),
                                     pauli.parse_observable("ZZZ")])
+
+
+def package_imports(tree):
+    """{module: imported names} over the package's own imports, keyed as
+    written (``.gf2``, ``.`` or ``axiombox.gf2``); a bare ``import`` gives ``*``."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            pairs = [("." * node.level + (node.module or ""), a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            pairs = [(a.name, "*") for a in node.names]
+        else:
+            continue
+        for module, name in pairs:
+            found.setdefault(module, set()).add(name)
+    return {m: names for m, names in found.items() if m.startswith((".", "axiombox"))}
+
+
+def test_oracle_shares_only_parsing_and_the_commutation_check():
+    source = (Path(axiombox.__file__).parent / "oracle.py").read_text()
+    imports = package_imports(ast.parse(source))
+    assert set(imports) == {".gf2", ".pauli", ".stabilizer"}
+    assert imports[".gf2"] == {"_commute_pairwise"}
+    assert imports[".stabilizer"] == {"OutcomeDistribution"}
