@@ -119,6 +119,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.axioms and args.n is not None:
+        raise ValueError("enumerate takes --n or --axioms, not both")
     if args.axioms:
         axioms = logic.AxiomSet.from_observables(_load_axiom_observables(args.axioms))
         n = axioms.n_qubits

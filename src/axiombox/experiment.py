@@ -23,6 +23,7 @@ from .pauli import SignedObservable
 from .stabilizer import StabilizerTableau
 
 _RUN_CAP = 10 ** 6  # most runs per record or trials per length, so arrays stay small
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
 
 
 def philox_rng(seed: int, substream: int = 0) -> np.random.Generator:
@@ -102,6 +103,11 @@ class DecayRow:
     chernoff_bound: float
 
 
+def _words(bits: int, width: int) -> np.ndarray:
+    """An outcome word as ``width`` uint64 words, least significant first."""
+    return np.array([bits >> 64 * j & (1 << 64) - 1 for j in range(width)], np.uint64)
+
+
 def sample(
     state: StabilizerTableau,
     observables: Sequence[SignedObservable],
@@ -117,6 +123,9 @@ def sample(
     Each run is the k-th point, in sorted order, of the affine outcome set of
     :func:`stabilizer._outcome_set` (at most 2^53 points), found without listing
     the set; then every outcome bit is flipped with probability ``noise.flip_prob``.
+    A run is one row of ceil(m/64) packed uint64 outcome words, built from
+    per-byte tables of column XORs and tallied by sorting the rows:
+    O(runs*(r/8 + m)).
     """
     if not 1 <= n_runs <= _RUN_CAP:
         raise ValueError(f"n_runs must lie in [1, {_RUN_CAP}], got {n_runs}")
@@ -131,23 +140,41 @@ def sample(
     rng = philox_rng(seed, substream)
     picks = (rng.random(n_runs) * 2.0 ** r).astype(np.int64)  # as rng.choice draws
     m = len(observables)
-    bits = np.array([[b >> k & 1 for k in range(m)] for b in [reference, *columns]], bool)
-    # -1 sorts first, so the k-th point has outcome bit 1 at the pivot p of
-    # column i exactly when bit r-1-i of k is 0; no other column touches p.
-    minus = np.tile(bits[0], (n_runs, 1))
-    for i, column in enumerate(columns):
-        p = (column & -column).bit_length() - 1
-        minus ^= (minus[:, p] == (picks >> (r - 1 - i) & 1))[:, None] & bits[i + 1]
-    signs = np.where(minus, -1, 1).astype(np.int8)
+    width = -(-m // 64)  # uint64 words per run; bit k of the row is set for -1
+    # -1 sorts first, so the k-th point takes column i exactly when bit r-1-i
+    # of k equals the reference bit at the column's pivot; no other column
+    # touches that pivot.  Bit r-1-i of `taken` says whether column i is taken.
+    pivot_bits = sum(
+        (reference >> ((c & -c).bit_length() - 1) & 1) << (r - 1 - i)
+        for i, c in enumerate(columns)
+    )
+    taken = picks ^ (pivot_bits ^ ((1 << r) - 1))
+    words = np.tile(_words(reference, width), (n_runs, 1))
+    for low in range(0, r, 8):
+        # table[b]: XOR of the columns whose bits of `taken` byte low/8 are set in b.
+        table = np.zeros((256, width), np.uint64)
+        for b in range(min(8, r - low)):
+            table[1 << b : 2 << b] = table[: 1 << b] ^ _words(columns[r - 1 - low - b], width)
+        words ^= table[taken >> low & 255]
     if noise.flip_prob > 0.0:
-        flips = rng.random(signs.shape) < noise.flip_prob
-        signs = np.where(flips, -signs, signs)
+        flips = np.zeros((n_runs, 64 * width), bool)
+        flips[:, :m] = rng.random((n_runs, m)) < noise.flip_prob
+        words ^= np.packbits(flips, bitorder="little").view("<u8").reshape(n_runs, width)
 
-    # One byte key per run: MSB-first packbits maps -1 to 0, so keys sort like rows.
-    packed = np.packbits(signs > 0, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    _, first, tallies = np.unique(keys, return_index=True, return_counts=True)
-    counts = dict(zip(map(tuple, signs[first].tolist()), tallies.tolist()))
+    # Sort keys: complemented, and bit-reversed so that entry 0 is the most
+    # significant bit of word 0; keys then sort as the sign tuples do.
+    keys = _REVERSED_BYTES[(~words).astype("<u8").view(np.uint8)].view(">u8")
+    order = np.argsort(keys[:, -1])
+    for j in range(width - 2, -1, -1):  # more significant words, stably
+        order = order[np.argsort(keys[order, j], kind="stable")]
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    tallies = np.diff(np.r_[starts, n_runs])
+    distinct = words[order[starts]]
+    outcomes = distinct[:, 0].tolist()
+    for j in range(1, width):
+        outcomes = [b | w << 64 * j for b, w in zip(outcomes, distinct[:, j].tolist())]
+    counts = dict(zip(stab._sign_tuples(outcomes, m), tallies.tolist()))
     return RunRecord(
         seed=seed,
         n_runs=n_runs,

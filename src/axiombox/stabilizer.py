@@ -10,11 +10,15 @@ operations and is phase-exact, and a collapse is XORs of masks and sign bits.
 
 Tableaus are value-like: measurement returns a fresh post-state instead of
 mutating, so states can be shared.  Signs only XOR, so they may be affine forms
-over free outcomes: one pass of m measurements gives the joint outcome set.
+over free outcomes: one pass of m measurements gives the joint outcome set, a
+reference outcome XOR any combination of r columns.  Joint distributions are
+stored as that affine set: ``probability`` costs O(r*m) bit operations, and
+the 2^r points are listed only when ``outcomes`` or ``support()`` is read.
 """
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -121,10 +125,34 @@ class MeasurementResult:
     post_state: StabilizerTableau
 
 
-class OutcomeDistribution:
-    """Exact probabilities over sign-vectors (one +-1 entry per observable)."""
+# _SIGN_BYTES[b]: bit k of byte b as the signed char -1 if set, else +1.
+_SIGN_BYTES = [bytes(255 if b >> k & 1 else 1 for k in range(8)) for b in range(256)]
 
-    __slots__ = ("_outcomes", "_num_observables")
+
+def _sign_tuples(words: Sequence[int], m: int) -> list:
+    """The +-1 tuple of each m-bit outcome word (bit k set for -1 at entry k).
+
+    The words' bytes are looked up in a table of signed chars and joined;
+    ``struct`` then unpacks each word's chars into its tuple in one step, so
+    no partial tuples are built (at m = 64 they doubled the cost)."""
+    if not m:
+        return [()] * len(words)
+    shifts = range(0, m, 8)
+    data = b"".join([_SIGN_BYTES[w >> s & 255] for w in words for s in shifts])
+    return list(struct.iter_unpack(f"{m}b{-m % 8}x", data))
+
+
+class OutcomeDistribution:
+    """Exact probabilities over sign-vectors (one +-1 entry per observable).
+
+    Built from a dict, it holds that dict.  Built by :func:`joint_distribution`,
+    it holds the affine set of :func:`_outcome_set`: ``_pivots`` maps the
+    lowest set bit of each column to the column, in column order.  Its
+    probabilities are exactly 2^-r on the set, and the dict is expanded from
+    the set only when read.
+    """
+
+    __slots__ = ("_outcomes", "_num_observables", "_reference", "_pivots")
 
     def __init__(self, outcomes: Dict[tuple, float], num_observables: int):
         total = 0.0
@@ -140,6 +168,33 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self._outcomes = dict(outcomes)
         self._num_observables = num_observables
+        self._reference = self._pivots = None
+
+    @classmethod
+    def _affine(cls, reference: int, columns: Sequence[int], m: int) -> "OutcomeDistribution":
+        """The uniform distribution on ``reference`` XOR any combination of
+        ``columns`` (m-bit outcome words).  Distinct lowest set bits make the
+        columns independent, so the set has exactly 2^len(columns) points."""
+        if any(not 0 <= w < 1 << m for w in (reference, *columns)):
+            raise ValueError(f"outcome words must fit in {m} bits")
+        pivots = {c & -c: c for c in columns}
+        if 0 in pivots or len(pivots) != len(columns):
+            raise ValueError("columns need distinct lowest set bits")
+        dist = cls.__new__(cls)
+        dist._outcomes = None
+        dist._num_observables = m
+        dist._reference = reference
+        dist._pivots = pivots
+        return dist
+
+    def _expanded(self) -> dict:
+        if self._outcomes is None:
+            support = [self._reference]
+            for column in self._pivots.values():
+                support = [s for base in support for s in (base, base ^ column)]
+            keys = _sign_tuples(support, self._num_observables)
+            self._outcomes = dict.fromkeys(keys, 0.5 ** len(self._pivots))
+        return self._outcomes
 
     @property
     def num_observables(self) -> int:
@@ -147,21 +202,39 @@ class OutcomeDistribution:
 
     @property
     def outcomes(self) -> dict:
-        return dict(self._outcomes)
+        return dict(self._expanded())
 
     def probability(self, signs: tuple) -> float:
-        return self._outcomes.get(tuple(signs), 0.0)
+        if self._pivots is None:
+            return self._outcomes.get(tuple(signs), 0.0)
+        signs = tuple(signs)
+        if len(signs) != self._num_observables:
+            return 0.0
+        bits = 0
+        for k, s in enumerate(signs):
+            if s == -1:
+                bits |= 1 << k
+            elif s != 1:
+                return 0.0
+        # Each step clears the lowest set bit, a pivot whenever bits is in the set.
+        bits ^= self._reference
+        while bits:
+            column = self._pivots.get(bits & -bits)
+            if column is None:
+                return 0.0
+            bits ^= column
+        return 0.5 ** len(self._pivots)
 
     def support(self) -> list:
-        return sorted(s for s, p in self._outcomes.items() if p > 0.0)
+        return sorted(s for s, p in self._expanded().items() if p > 0.0)
 
     def max_deviation(self, other: "OutcomeDistribution") -> float:
         """Largest absolute probability difference over all sign-vectors."""
         if self._num_observables != other._num_observables:
             raise ValueError("distributions are over different observable counts")
-        keys = set(self._outcomes) | set(other._outcomes)
+        mine, theirs = self._expanded(), other._expanded()
         return max(
-            (abs(self.probability(k) - other.probability(k)) for k in keys),
+            (abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in set(mine) | set(theirs)),
             default=0.0,
         )
 
@@ -173,7 +246,7 @@ class OutcomeDistribution:
     def __repr__(self) -> str:
         body = ", ".join(
             f"{''.join('+' if s == 1 else '-' for s in k)}: {v}"
-            for k, v in sorted(self._outcomes.items(), reverse=True)
+            for k, v in sorted(self._expanded().items(), reverse=True)
         )
         return f"OutcomeDistribution({{{body}}})"
 
@@ -341,16 +414,11 @@ def joint_distribution(
     t: StabilizerTableau, obs_list: Sequence[SignedObservable]
 ) -> OutcomeDistribution:
     """Exact outcome distribution of pairwise-commuting observables: each of
-    the 2^r points of :func:`_outcome_set` has probability exactly 2^-r."""
-    m = len(obs_list)
+    the 2^r points of :func:`_outcome_set` has probability exactly 2^-r.  It
+    is kept as that affine set, so building it and ``probability`` cost
+    O(r*m) bit operations; ``outcomes`` lists the 2^r points when read."""
     reference, columns = _outcome_set(t, obs_list)
-    support = [reference]
-    for column in columns:
-        support = [s for base in support for s in (base, base ^ column)]
-    prob = 0.5 ** len(columns)
-    return OutcomeDistribution(
-        {tuple(-1 if s >> k & 1 else 1 for k in range(m)): prob for s in support}, m
-    )
+    return OutcomeDistribution._affine(reference, columns, len(obs_list))
 
 
 def _draw_and_restrict(basis: List[int], n: int, rng) -> Tuple[int, bool]:

@@ -2,9 +2,12 @@
 
 ``frozen_sample`` is ``experiment.sample`` as it was while it expanded the
 whole outcome distribution: ``support()`` sorted, uniform weights, one
-``rng.choice`` over the support, then the flips and the byte-key count.  It is
-kept here only as the reference: seeded counts (values and key order) must be
-equal, so the draw from the affine outcome set keeps every random stream.
+``rng.choice`` over the support, then the flips and the byte-key count.
+``byte_key_sample`` is ``experiment.sample`` as it was before it worked on
+packed outcome words: the affine draw into a bool matrix of -1 entries, int8
+sign and flip matrices, and a count over MSB-first ``np.void`` byte keys.
+Both are kept here only as references: seeded counts (values and key order)
+must be equal, so every random stream is kept.
 """
 import numpy as np
 import pytest
@@ -34,13 +37,34 @@ def frozen_sample(state, observables, n_runs, seed, flip_prob):
     return {tuple(int(s) for s in signs[i]): int(t) for i, t in zip(first, tallies)}
 
 
-def joint_case(n, m, seed):
+def byte_key_sample(state, observables, n_runs, seed, flip_prob):
+    reference, columns = stab._outcome_set(state, observables)
+    r = len(columns)
+    rng = xp.philox_rng(seed, 0)
+    picks = (rng.random(n_runs) * 2.0 ** r).astype(np.int64)
+    m = len(observables)
+    bits = np.array([[b >> k & 1 for k in range(m)] for b in [reference, *columns]], bool)
+    minus = np.tile(bits[0], (n_runs, 1))
+    for i, column in enumerate(columns):
+        p = (column & -column).bit_length() - 1
+        minus ^= (minus[:, p] == (picks >> (r - 1 - i) & 1))[:, None] & bits[i + 1]
+    signs = np.where(minus, -1, 1).astype(np.int8)
+    if flip_prob > 0.0:
+        flips = rng.random(signs.shape) < flip_prob
+        signs = np.where(flips, -signs, signs)
+    packed = np.packbits(signs > 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, tallies = np.unique(keys, return_index=True, return_counts=True)
+    return dict(zip(map(tuple, signs[first].tolist()), tallies.tolist()))
+
+
+def joint_case(n, m, seed, cap=RANDOM_CAP):
     """A random state and m random commuting observables, with the state
-    collapsed onto all but the last RANDOM_CAP of them, so r <= RANDOM_CAP."""
+    collapsed onto all but the last ``cap`` of them, so r <= cap."""
     rng = xp.philox_rng(seed, 78)
     state = stab.prepare(stab.random_axioms(n, rng))
     observables = stab.random_commuting_observables(n, m, rng)
-    for o in observables[: max(0, m - RANDOM_CAP)]:
+    for o in observables[: max(0, m - cap)]:
         state = stab.measure(state, o, rng).post_state
     return state, observables
 
@@ -66,6 +90,40 @@ def test_the_differential_cases_reach_every_random_count():
     ranks = {len(stab._outcome_set(*joint_case(n, m, 100 * n + m))[1])
              for n, m in DIFFERENTIAL_CASES}
     assert ranks == set(range(RANDOM_CAP + 1))
+
+
+# Observables, and the cap on r; 72 qubits leave room for r = 40 at m = 70.
+PACKED_CASES = [(m, cap) for m in (1, 8, 63, 64, 65, 70) for cap in sorted({0, min(m, 9), min(m, 40)})]
+
+
+@pytest.mark.parametrize("n_runs", [1, 7, 3000])
+@pytest.mark.parametrize("flip_prob", [0.0, 0.05])
+@pytest.mark.parametrize("m, cap", PACKED_CASES)
+def test_sample_matches_the_frozen_byte_key_sampler(m, cap, flip_prob, n_runs):
+    state, observables = joint_case(72, m, seed=m + cap, cap=cap)
+    seed = 1000 * m + cap
+    record = xp.sample(state, observables, n_runs, seed, noise=NoiseModel(flip_prob))
+    expected = byte_key_sample(state, observables, n_runs, seed, flip_prob)
+    assert list(record.counts.items()) == list(expected.items())
+
+
+def test_the_packed_cases_reach_forty_random_outcomes():
+    ranks = {len(stab._outcome_set(*joint_case(72, m, m + cap, cap))[1]) for m, cap in PACKED_CASES}
+    assert {0, 1, 8, 9, 40} <= ranks
+
+
+def test_sixty_four_observables_with_thirty_two_random_outcomes():
+    """m = 64 and r = 32 at N = 64: 2^32 outcomes, never listed."""
+    state, observables = joint_case(64, 64, seed=0, cap=33)
+    reference, columns = stab._outcome_set(state, observables)
+    assert len(columns) == 32
+    dist = stab.joint_distribution(state, observables)
+    signs = tuple(-1 if reference >> k & 1 else 1 for k in range(64))
+    assert dist.probability(signs) == 2.0 ** -32
+    # The first 32 outcomes are definite, so flipping one leaves the set.
+    assert dist.probability((-signs[0],) + signs[1:]) == 0.0
+    record = xp.sample(state, observables, 10_000, seed=5, noise=NoiseModel(0.05))
+    assert sum(record.counts.values()) == 10_000
 
 
 def z_state_with_x_observables(n):

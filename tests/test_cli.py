@@ -206,6 +206,14 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate")
         assert code == 1
 
+    def test_n_and_axioms_together_is_exit_one(self, tmp_path, capsys):
+        axioms = tmp_path / "ghz.axioms"
+        axioms.write_text(GHZ_AXIOM_FILE)
+        code, out, err = run(capsys, "enumerate", "--axioms", str(axioms), "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: enumerate takes --n or --axioms, not both\n"
+
 
 class TestDemos:
     def test_ghz_demo_text(self, capsys):

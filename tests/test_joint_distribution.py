@@ -6,7 +6,10 @@ results.  It makes up to 2^(r+1) calls to ``measure_forced``.
 ``forced_outcome_set`` is ``stabilizer._outcome_set`` as it stood before the
 one pass: a reference pass with every random outcome forced to +1, then one
 pass per random measurement forcing it to -1, (r + 1) * m ``measure_forced``
-calls.  Both are kept here only as references for exact equality.
+calls.  ``eager_joint_distribution`` is ``joint_distribution`` as it stood
+before the distribution stored the affine set: every point expanded into a
+dict of sign tuples and handed to the public ``OutcomeDistribution``.  All
+three are kept here only as references for exact equality.
 """
 import math
 
@@ -134,3 +137,82 @@ def test_rejects_an_observable_of_another_size():
     observables = [pauli.parse_observable("ZZ"), pauli.parse_observable("ZZZ")]
     with pytest.raises(ValueError, match="size mismatch: 3 vs 2 qubits"):
         stab.joint_distribution(state, observables)
+
+
+def eager_joint_distribution(t, obs_list):
+    m = len(obs_list)
+    reference, columns = stab._outcome_set(t, obs_list)
+    support = [reference]
+    for column in columns:
+        support = [s for base in support for s in (base, base ^ column)]
+    prob = 0.5 ** len(columns)
+    return OutcomeDistribution(
+        {tuple(-1 if s >> k & 1 else 1 for k in range(m)): prob for s in support}, m
+    )
+
+
+RANDOM_CAP = 12  # r at most this, so the eager expansion stays small
+
+
+def capped_case(n, m, seed):
+    """:func:`random_case`, with the state collapsed onto all but the last
+    RANDOM_CAP observables, so r <= RANDOM_CAP."""
+    state, observables = random_case(n, m, seed)
+    rng = philox_rng(seed, 7)
+    for obs in observables[: max(0, m - RANDOM_CAP)]:
+        state = stab.measure(state, obs, rng).post_state
+    return state, observables
+
+
+# (20, 13, 0) has r = 11, which no other case reaches.
+AFFINE = SMALL + WIDE + [(20, 13, 0)] + [
+    (n, m, seed) for n, m in ((32, 40), (64, 64), (64, 70)) for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("n,m,seed", AFFINE)
+def test_affine_distribution_equals_frozen_eager_expansion(n, m, seed):
+    state, observables = capped_case(n, m, seed)
+    dist = stab.joint_distribution(state, observables)
+    frozen = eager_joint_distribution(state, observables)
+    want = frozen.outcomes
+    assert list(dist.outcomes.items()) == list(want.items())
+    assert dist.support() == frozen.support()
+    for signs in want:
+        assert dist.probability(signs) == want[signs]
+    rng = philox_rng(seed, 1000 * n + m + 1)
+    draws = (tuple(int(s) for s in 1 - 2 * rng.integers(0, 2, m)) for _ in range(200))
+    non_members = [signs for signs in draws if signs not in want][:20]
+    assert len(non_members) == (0 if len(want) == 2 ** m else 20)
+    for signs in non_members:
+        assert dist.probability(signs) == 0.0
+    assert dist.probability((1,) * (m + 1)) == 0.0
+    if m:
+        assert dist.probability((0,) + next(iter(want))[1:]) == 0.0
+
+
+def test_the_affine_cases_reach_every_random_count():
+    ranks = {len(stab._outcome_set(*capped_case(n, m, seed))[1]) for n, m, seed in AFFINE}
+    assert ranks == set(range(RANDOM_CAP + 1))
+
+
+class TestAffineConstructor:
+    def test_rejects_a_word_wider_than_m(self):
+        with pytest.raises(ValueError, match="fit in 3 bits"):
+            OutcomeDistribution._affine(0b1000, [], 3)
+        with pytest.raises(ValueError, match="fit in 3 bits"):
+            OutcomeDistribution._affine(0, [0b1000], 3)
+
+    @pytest.mark.parametrize("columns", [[0b011, 0b101], [0b010, 0], [0b110, 0b010]])
+    def test_rejects_columns_sharing_a_lowest_set_bit(self, columns):
+        with pytest.raises(ValueError, match="distinct lowest set bits"):
+            OutcomeDistribution._affine(0, columns, 3)
+
+    def test_columns_in_any_pivot_order(self):
+        """Reduction clears the lowest set bit first, so the order of the
+        columns does not matter to ``probability``."""
+        dist = OutcomeDistribution._affine(0b000, [0b110, 0b011], 3)
+        assert list(dist.outcomes) == [(1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1)]
+        for signs in dist.outcomes:
+            assert dist.probability(signs) == 0.25
+        assert dist.probability((-1, 1, 1)) == 0.0

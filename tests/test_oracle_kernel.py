@@ -180,8 +180,10 @@ def test_equals_frozen_projector_oracle(n, m, seed):
     assert list(got.items()) == list(unpruned_distribution(frozen, observables).items())
 
 
-@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("n", range(1, oracle.DENSE_CAP + 1))
 def test_tableau_agrees_with_the_oracle_up_to_the_cap(n):
+    """The affine distribution against the dense one, in both directions,
+    and the affine one against itself rebuilt from its expanded dict."""
     rng = philox_rng(n)
     for _ in range(2):
         axioms = stab.random_axioms(n, rng)
@@ -189,6 +191,10 @@ def test_tableau_agrees_with_the_oracle_up_to_the_cap(n):
         exact = stab.joint_distribution(stab.prepare(axioms), observables)
         dense = oracle.distribution(oracle.state_from_axioms(axioms), observables)
         assert exact.max_deviation(dense) < cli.ORACLE_TOLERANCE
+        assert dense.max_deviation(exact) < cli.ORACLE_TOLERANCE
+        for signs, prob in dense.outcomes.items():
+            assert abs(exact.probability(signs) - prob) < cli.ORACLE_TOLERANCE
+        assert exact == stab.OutcomeDistribution(exact.outcomes, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
