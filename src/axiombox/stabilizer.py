@@ -415,8 +415,8 @@ def joint_distribution(
 ) -> OutcomeDistribution:
     """Exact outcome distribution of pairwise-commuting observables: each of
     the 2^r points of :func:`_outcome_set` has probability exactly 2^-r.  It
-    is kept as that affine set, so building it and ``probability`` cost
-    O(r*m) bit operations; ``outcomes`` lists the 2^r points when read."""
+    is kept as that affine set: ``probability`` costs O(r*m) bit operations,
+    and ``outcomes`` lists the 2^r points when read."""
     reference, columns = _outcome_set(t, obs_list)
     return OutcomeDistribution._affine(reference, columns, len(obs_list))
 

@@ -93,7 +93,9 @@ def test_the_differential_cases_reach_every_random_count():
 
 
 # Observables, and the cap on r; 72 qubits leave room for r = 40 at m = 70.
-PACKED_CASES = [(m, cap) for m in (1, 8, 63, 64, 65, 70) for cap in sorted({0, min(m, 9), min(m, 40)})]
+PACKED_CASES = [
+    (m, cap) for m in (1, 8, 63, 64, 65, 70) for cap in sorted({0, min(m, 9), min(m, 40)})
+]
 
 
 @pytest.mark.parametrize("n_runs", [1, 7, 3000])
@@ -108,7 +110,9 @@ def test_sample_matches_the_frozen_byte_key_sampler(m, cap, flip_prob, n_runs):
 
 
 def test_the_packed_cases_reach_forty_random_outcomes():
-    ranks = {len(stab._outcome_set(*joint_case(72, m, m + cap, cap))[1]) for m, cap in PACKED_CASES}
+    ranks = {
+        len(stab._outcome_set(*joint_case(72, m, m + cap, cap))[1]) for m, cap in PACKED_CASES
+    }
     assert {0, 1, 8, 9, 40} <= ranks
 
 
@@ -120,7 +124,8 @@ def test_sixty_four_observables_with_thirty_two_random_outcomes():
     dist = stab.joint_distribution(state, observables)
     signs = tuple(-1 if reference >> k & 1 else 1 for k in range(64))
     assert dist.probability(signs) == 2.0 ** -32
-    # The first 32 outcomes are definite, so flipping one leaves the set.
+    # The first 31 observables were measured before, so their outcomes are
+    # definite and flipping one leaves the set.
     assert dist.probability((-signs[0],) + signs[1:]) == 0.0
     record = xp.sample(state, observables, 10_000, seed=5, noise=NoiseModel(0.05))
     assert sum(record.counts.values()) == 10_000
