@@ -16,6 +16,7 @@ Label convention: the four functions are numbered ``y_k`` with
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -118,8 +119,21 @@ def axiom_truths(axioms: Sequence[BitVector], cfg: BlackBoxConfig) -> list:
     return [proposition_truth(h, cfg) for h in axioms]
 
 
+def _parse_function(text: str) -> BooleanFunction:
+    """One function: a label ``y0``..``y3`` (``y`` in either case) or its two
+    values ``f0 f1``, each exactly ``0`` or ``1``; whitespace around them is
+    ignored."""
+    words = text.split()
+    if len(words) == 1 and re.fullmatch("[yY][0-3]", words[0]):
+        return BooleanFunction.from_label(int(words[0][1]))
+    if len(words) == 2 and all(w in ("0", "1") for w in words):
+        return BooleanFunction(int(words[0]), int(words[1]))
+    raise ValueError(f"bad function {text!r}: want y0..y3 or two bits such as '0 1'")
+
+
 def parse_config(text: str) -> BlackBoxConfig:
-    """Parse a config file body: one function per line, "f0 f1" or "y2".
+    """Parse a config file body: one function per line, "f0 f1" or "y2"
+    (:func:`_parse_function`).
 
     Blank lines and '#' comments are skipped.
     """
@@ -129,11 +143,7 @@ def parse_config(text: str) -> BlackBoxConfig:
         if not line:
             continue
         try:
-            if line.lower().startswith("y"):
-                functions.append(BooleanFunction.from_label(int(line[1:])))
-            else:
-                f0, f1 = line.split()
-                functions.append(BooleanFunction(int(f0), int(f1)))
-        except (ValueError, TypeError) as exc:
+            functions.append(_parse_function(line))
+        except ValueError as exc:
             raise ValueError(f"bad config line {lineno}: {raw!r}") from exc
     return BlackBoxConfig(tuple(functions))

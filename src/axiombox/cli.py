@@ -44,8 +44,7 @@ def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
     if args.config is not None:
         cfg = _load_config(args.config)
     elif args.labels is not None:
-        labels = [int(tok.strip().lstrip("yY")) for tok in args.labels.split(",")]
-        cfg = bb.BlackBoxConfig.from_labels(labels)
+        cfg = bb.BlackBoxConfig(tuple(map(bb._parse_function, args.labels.split(","))))
     else:
         cfg = bb.BlackBoxConfig.identity(n)
     if cfg.n != n:

@@ -8,7 +8,9 @@ exact, with no floating point anywhere.
 Symplectic layout convention, shared by every module in this package: a
 vector of even length ``2N`` is split as ``(x-part | z-part)`` with qubit
 index ascending, i.e. bits ``0..N-1`` are the x exponents and bits ``N..2N-1``
-the z exponents.
+the z exponents.  Tableaus, Pauli operators and propositions all carry such
+packed int masks whole; only this module, :mod:`axiombox.pauli` and
+:func:`axiombox.blackbox.proposition_truth` read the two halves apart.
 """
 from __future__ import annotations
 
@@ -58,15 +60,6 @@ class BitVector:
             raise ValueError(f"index {index} out of range for length {length}")
         return cls.from_mask(1 << index, length)
 
-    @classmethod
-    def concat(cls, *parts: "BitVector") -> "BitVector":
-        mask = 0
-        length = 0
-        for p in parts:
-            mask |= p._mask << length
-            length += p._length
-        return cls.from_mask(mask, length)
-
     @property
     def mask(self) -> int:
         return self._mask
@@ -113,17 +106,6 @@ class BitVector:
 
     def to_tuple(self) -> tuple:
         return tuple(self)
-
-    def halves(self) -> tuple["BitVector", "BitVector"]:
-        """Split an even-length vector into its (x-part, z-part)."""
-        if self._length % 2:
-            raise ValueError(f"cannot halve a vector of odd length {self._length}")
-        n = self._length // 2
-        low = (1 << n) - 1
-        return (
-            BitVector.from_mask(self._mask & low, n),
-            BitVector.from_mask(self._mask >> n, n),
-        )
 
     def _check_same_length(self, other: "BitVector") -> None:
         if self._length != other._length:
@@ -178,18 +160,9 @@ class BitMatrix:
         body = ", ".join(f"'{''.join(str(b) for b in r)}'" for r in self)
         return f"BitMatrix([{body}])"
 
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self._num_cols):
-            mask = 0
-            for i, rm in enumerate(self._rows):
-                mask |= ((rm >> j) & 1) << i
-            cols.append(BitVector.from_mask(mask, len(self._rows)))
-        return BitMatrix(cols, num_cols=len(self._rows))
 
-
-def _echelon(matrix: BitMatrix) -> list:
-    """Forward elimination with combination tracking.
+def _echelon(rows: Sequence[int]) -> list:
+    """Forward elimination of the row masks with combination tracking.
 
     Pivots are chosen left-to-right; within a column the first remaining
     nonzero row wins, so the echelon form (and every coefficient vector
@@ -198,10 +171,10 @@ def _echelon(matrix: BitMatrix) -> list:
     Returns a list of ``(pivot_col, row_mask, combo_mask)`` in pivot order,
     where ``combo_mask`` records which original rows were XORed together.
     """
-    work = [(m, 1 << i) for i, m in enumerate(matrix.row_masks)]
+    work = [(m, 1 << i) for i, m in enumerate(rows)]
     pivots = []
     done = 0
-    for col in range(matrix.num_cols):
+    for col in range(max(rows, default=0).bit_length()):
         hit = next(
             (k for k in range(done, len(work)) if (work[k][0] >> col) & 1), None
         )
@@ -221,7 +194,7 @@ def _echelon(matrix: BitMatrix) -> list:
 
 def rank(matrix: BitMatrix) -> int:
     """GF(2) row rank.  Empty matrices have rank 0."""
-    return len(_echelon(matrix))
+    return len(_echelon(matrix.row_masks))
 
 
 def _reduce(mask: int, pivots: list) -> tuple:
@@ -249,7 +222,7 @@ def in_span(v: BitVector, basis: BitMatrix) -> Optional[BitVector]:
             f"dimension mismatch: vector length {len(v)}, "
             f"basis has {basis.num_cols} columns"
         )
-    residue, combo = _reduce(v.mask, _echelon(basis))
+    residue, combo = _reduce(v.mask, _echelon(basis.row_masks))
     if residue:
         return None
     return BitVector.from_mask(combo, basis.num_rows)
@@ -280,8 +253,11 @@ def _commute_pairwise(masks: Sequence[int], n: int) -> bool:
     )
 
 
-def swap_halves(v: BitVector) -> BitVector:
-    """Exchange the x- and z-parts, so that ``u . swap_halves(v)`` (dot =
-    parity of AND) equals ``symplectic_product(u, v)``."""
-    x, z = v.halves()
-    return BitVector.concat(z, x)
+def _pairing_transpose(masks: Sequence[int], n: int) -> list:
+    """The 2n rows of the transposed pairing matrix of 2n-bit (x|z) masks:
+    bit q of row j is ``_symplectic(1 << j, masks[q], n)``, bit j of masks[q]
+    with its halves swapped.  Each mask becomes a string of bits, highest
+    first, and ``zip`` reads the strings column by column."""
+    bits = [format(m, f"0{2 * n}b") for m in reversed(masks)]
+    columns = [int("".join(c), 2) for c in zip(*bits)][::-1]  # bit q = bit j of masks[q]
+    return columns[n:] + columns[:n]

@@ -75,7 +75,7 @@ class AxiomSet:
             raise ValueError("one parity bit per axiom vector required")
         if any(b not in (0, 1) for b in parities):
             raise ValueError("parities must be bits")
-        self._pivots = stab.check_axioms(vectors, BitMatrix)
+        self._pivots = stab.check_axioms(vectors, lambda masks, n: masks)
         self._vectors = vectors
         self._parities = parities
 

@@ -7,48 +7,61 @@ exact integer arithmetic.  Measurable quantities are
 ``i^{x_j z_j} sx^{x_j} sz^{z_j}``, which is I, X, Y or Z) times an explicit
 sign of +1 or -1.
 
-Qubit 1 is the leftmost tensor factor and bit 0 of the x/z vectors.
+An operator is stored as one 2N-bit (x|z) int mask in the :mod:`gf2` layout,
+the vector J = (alpha|beta) of the paper: products, commutation, the
+canonical phase, parsing and formatting are shifts, ANDs and bit counts on
+that mask.  Qubit 1 is the leftmost tensor factor and bit 0 of the x/z parts.
 """
 from __future__ import annotations
 
 from .blackbox import BlackBoxConfig, proposition_truth
-from .gf2 import BitVector, symplectic_product
+from .gf2 import BitVector, _symplectic
 
-_LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
+_X_DIGITS = str.maketrans("IXYZixyz", "01100110")
+_Z_DIGITS = str.maketrans("IXYZixyz", "00110011")
 
 
 class PauliOperator:
-    """``i^phase * prod_j sx^{x_j} sz^{z_j}``; immutable."""
+    """``i^phase * prod_j sx^{x_j} sz^{z_j}`` as one (x|z) mask; immutable."""
 
-    __slots__ = ("_x", "_z", "_phase")
+    __slots__ = ("_mask", "_n", "_phase")
 
     def __init__(self, x: BitVector, z: BitVector, phase: int = 0):
         if len(x) != len(z):
             raise ValueError(f"x/z length mismatch: {len(x)} vs {len(z)}")
-        if len(x) == 0:
+        self._set(x.mask | z.mask << len(x), len(x), phase)
+
+    def _set(self, mask: int, n: int, phase: int) -> None:
+        if n < 1:
             raise ValueError("a Pauli operator needs at least one qubit")
-        self._x = x
-        self._z = z
+        self._mask = mask
+        self._n = n
         self._phase = phase % 4
 
     @classmethod
+    def _from_mask(cls, mask: int, n: int, phase: int = 0) -> "PauliOperator":
+        p = cls.__new__(cls)
+        p._set(mask, n, phase)
+        return p
+
+    @classmethod
     def identity(cls, n_qubits: int) -> "PauliOperator":
-        return cls(BitVector.zeros(n_qubits), BitVector.zeros(n_qubits))
+        return cls._from_mask(0, n_qubits)
 
     @classmethod
     def from_vector(cls, v: BitVector, phase: int = 0) -> "PauliOperator":
         """Build from a 2N-bit (x-part | z-part) vector."""
-        x, z = v.halves()
-        return cls(x, z, phase)
+        if len(v) % 2:
+            raise ValueError(f"cannot halve a vector of odd length {len(v)}")
+        return cls._from_mask(v.mask, len(v) // 2, phase)
 
     @property
     def x(self) -> BitVector:
-        return self._x
+        return BitVector.from_mask(self._mask & ((1 << self._n) - 1), self._n)
 
     @property
     def z(self) -> BitVector:
-        return self._z
+        return BitVector.from_mask(self._mask >> self._n, self._n)
 
     @property
     def phase(self) -> int:
@@ -56,32 +69,28 @@ class PauliOperator:
 
     @property
     def n_qubits(self) -> int:
-        return len(self._x)
+        return self._n
 
     @property
     def vector(self) -> BitVector:
         """The 2N-bit symplectic (x|z) vector; the phase is dropped."""
-        return BitVector.concat(self._x, self._z)
+        return BitVector.from_mask(self._mask, 2 * self._n)
 
     def is_hermitian(self) -> bool:
         """True iff the operator equals its own adjoint."""
-        return (self._phase - (self._x & self._z).weight()) % 2 == 0
+        return (self._phase - _canonical_phase(self._mask, self._n)) % 2 == 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliOperator):
             return NotImplemented
-        return (
-            self._x == other._x
-            and self._z == other._z
-            and self._phase == other._phase
-        )
+        return (self._mask, self._n, self._phase) == (other._mask, other._n, other._phase)
 
     def __hash__(self) -> int:
-        return hash((self._x, self._z, self._phase))
+        return hash((self._mask, self._n, self._phase))
 
     def __repr__(self) -> str:
-        xs = "".join(str(b) for b in self._x)
-        zs = "".join(str(b) for b in self._z)
+        xs = "".join(str(b) for b in self.x)
+        zs = "".join(str(b) for b in self.z)
         return f"PauliOperator(x='{xs}', z='{zs}', phase={self._phase})"
 
 
@@ -91,10 +100,11 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     The x/z exponents XOR; commuting each z factor of P past each x factor
     of Q on the same qubit contributes a -1, i.e. +2 to the i exponent.
     """
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(f"size mismatch: {p.n_qubits} vs {q.n_qubits}")
-    swaps = (p.z & q.x).weight()
-    return PauliOperator(p.x ^ q.x, p.z ^ q.z, p.phase + q.phase + 2 * swaps)
+    n = p._n
+    if n != q._n:
+        raise ValueError(f"size mismatch: {n} vs {q._n}")
+    swaps = (p._mask >> n & q._mask).bit_count()  # z of P against the low (x) half of Q
+    return PauliOperator._from_mask(p._mask ^ q._mask, n, p._phase + q._phase + 2 * swaps)
 
 
 def phase_bit(target: int, factors: list, n: int) -> int:
@@ -111,13 +121,14 @@ def phase_bit(target: int, factors: list, n: int) -> int:
 
 def commutes(p: PauliOperator, q: PauliOperator) -> int:
     """1 if PQ == QP, else 0; phases never matter."""
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(f"size mismatch: {p.n_qubits} vs {q.n_qubits}")
-    return 1 - symplectic_product(p.vector, q.vector)
+    if p._n != q._n:
+        raise ValueError(f"size mismatch: {p._n} vs {q._n}")
+    return 1 - _symplectic(p._mask, q._mask, p._n)
 
 
-def _canonical_phase(x: BitVector, z: BitVector) -> int:
-    return (x & z).weight() % 4
+def _canonical_phase(mask: int, n: int) -> int:
+    """The phase of the Hermitian canonical form: i^{x_j z_j} per qubit."""
+    return (mask & mask >> n).bit_count() % 4
 
 
 class SignedObservable:
@@ -128,7 +139,7 @@ class SignedObservable:
     def __init__(self, base: PauliOperator, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if base.phase != _canonical_phase(base.x, base.z):
+        if base.phase != _canonical_phase(base._mask, base._n):
             raise ValueError(
                 "base is not in canonical Hermitian form; "
                 "use SignedObservable.from_pauli to normalize"
@@ -141,10 +152,9 @@ class SignedObservable:
         """Normalize any Hermitian PauliOperator into canonical-base form."""
         if not p.is_hermitian():
             raise ValueError(f"operator is not Hermitian: {p!r}")
-        canon = _canonical_phase(p.x, p.z)
-        delta = (p.phase - canon) % 4
-        flip = 1 if delta == 0 else -1
-        return cls(PauliOperator(p.x, p.z, canon), sign * flip)
+        canon = _canonical_phase(p._mask, p._n)
+        flip = 1 if p.phase == canon else -1
+        return cls(PauliOperator._from_mask(p._mask, p._n, canon), sign * flip)
 
     @classmethod
     def identity(cls, n_qubits: int, sign: int = 1) -> "SignedObservable":
@@ -191,8 +201,8 @@ def from_proposition(j: BitVector) -> SignedObservable:
     """
     if len(j) % 2:
         raise ValueError(f"proposition vector must have even length, got {len(j)}")
-    x, z = j.halves()
-    return SignedObservable(PauliOperator(x, z, _canonical_phase(x, z)))
+    n = len(j) // 2
+    return SignedObservable(PauliOperator._from_mask(j.mask, n, _canonical_phase(j.mask, n)))
 
 
 def observable_product(a: SignedObservable, b: SignedObservable) -> SignedObservable:
@@ -225,13 +235,13 @@ def parse_observable(text: str) -> SignedObservable:
         s = s[1:].strip()
     if not s:
         raise ValueError(f"empty Pauli string in {text!r}")
-    try:
-        pairs = [_LETTER_TO_XZ[c] for c in s.upper()]
-    except KeyError as exc:
-        raise ValueError(f"bad Pauli letter {exc.args[0]!r} in {text!r}") from None
-    x = BitVector([p[0] for p in pairs])
-    z = BitVector([p[1] for p in pairs])
-    return SignedObservable(PauliOperator(x, z, _canonical_phase(x, z)), sign)
+    bad = next((c for c in s if c not in "IXYZixyz"), None)
+    if bad is not None:
+        raise ValueError(f"bad Pauli letter {bad!r} in {text!r}")
+    # Letter j is bit j, so the reversed string reads as binary digits.
+    n, letters = len(s), s[::-1]
+    mask = int(letters.translate(_X_DIGITS), 2) | int(letters.translate(_Z_DIGITS), 2) << n
+    return SignedObservable(PauliOperator._from_mask(mask, n, _canonical_phase(mask, n)), sign)
 
 
 def _parse_observable_lines(text: str) -> list:
@@ -242,7 +252,6 @@ def _parse_observable_lines(text: str) -> list:
 
 
 def format_observable(obs: SignedObservable) -> str:
-    letters = "".join(
-        _XZ_TO_LETTER[(xb, zb)] for xb, zb in zip(obs.base.x, obs.base.z)
-    )
+    mask, n = obs.base._mask, obs.base._n
+    letters = "".join("IXZY"[(mask >> j & 1) | (mask >> n + j & 1) << 1] for j in range(n))
     return ("+" if obs.sign == 1 else "-") + letters

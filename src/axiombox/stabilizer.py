@@ -30,10 +30,10 @@ from .gf2 import (
     BitVector,
     _commute_pairwise,
     _echelon,
+    _pairing_transpose,
     _reduce,
     _symplectic,
     rank,
-    swap_halves,
 )
 from .pauli import SignedObservable
 
@@ -251,11 +251,12 @@ class OutcomeDistribution:
         return f"OutcomeDistribution({{{body}}})"
 
 
-def check_axioms(vectors: Sequence[BitVector], matrix: Callable[..., BitMatrix]) -> list:
+def check_axioms(vectors: Sequence[BitVector], rows: Callable[[list, int], list]) -> list:
     """Raise ValueError unless ``vectors`` are N pairwise-commuting,
     independent 2N-bit vectors; return the :func:`gf2._echelon` pivots of
-    ``matrix(vectors)`` (a matrix of their rank), kept by the caller so that
-    the system is eliminated only once."""
+    ``rows(masks, N)``, the row masks of a matrix of their rank built from
+    their masks, kept by the caller so that the system is eliminated only
+    once."""
     if not vectors:
         raise ValueError("empty axiom list")
     two_n = len(vectors[0])
@@ -264,9 +265,10 @@ def check_axioms(vectors: Sequence[BitVector], matrix: Callable[..., BitMatrix])
         raise ValueError(f"need exactly {n} axioms of length {two_n}, got {len(vectors)}")
     if any(len(v) != two_n for v in vectors):
         raise ValueError("axiom vectors have inconsistent lengths")
-    if not _commute_pairwise([v.mask for v in vectors], n):
+    masks = [v.mask for v in vectors]
+    if not _commute_pairwise(masks, n):
         raise ValueError("axioms not co-measurable")
-    pivots = _echelon(matrix(vectors))
+    pivots = _echelon(rows(masks, n))
     if len(pivots) != n:
         raise ValueError("axioms not independent")
     return pivots
@@ -278,17 +280,16 @@ def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
     ``axioms`` is a list of (2N-bit vector, sign) pairs: exactly N of them,
     pairwise symplectically orthogonal and GF(2)-independent.  The one
     elimination, run by :func:`check_axioms` on the transposed pairing matrix
-    (row q of the pairing matrix dotted with d is <d, g_q>), checks
-    independence, and reducing each unit vector e_p against its pivots gives
-    the destabilizer d_p with <d_p, g_q> = delta_pq.
+    (row q of the pairing matrix dotted with d is <d, g_q>) that
+    :func:`gf2._pairing_transpose` builds from the masks, checks independence,
+    and reducing each unit vector e_p against its pivots gives the
+    destabilizer d_p with <d_p, g_q> = delta_pq.
     """
     vectors = [v for v, _ in axioms]
     signs = [s for _, s in axioms]
     if any(s not in (1, -1) for s in signs):
         raise ValueError("axiom signs must be +1 or -1")
-    pivots = check_axioms(
-        vectors, lambda vs: BitMatrix([swap_halves(v) for v in vs]).transpose()
-    )
+    pivots = check_axioms(vectors, _pairing_transpose)
     destabs = [_reduce(1 << p, pivots)[1] for p in range(len(vectors))]
     bits = [int(s < 0) for s in signs]
     return StabilizerTableau(len(vectors), [v.mask for v in vectors], bits, destabs)
@@ -368,7 +369,7 @@ def _measure(
     n = t._n
     if obs.n_qubits != n:
         raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
-    ov = obs.base.x.mask | obs.base.z.mask << n
+    ov = obs.base._mask
     anticommuting = [p for p, g in enumerate(t._gens) if _symplectic(ov, g, n)]
     if not anticommuting:
         # The destabilizer pairing picks the generators g_p with
@@ -397,7 +398,7 @@ def _outcome_set(
     for obs in obs_list:
         if obs.n_qubits != n:
             raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
-    if not _commute_pairwise([o.vector.mask for o in obs_list], n):
+    if not _commute_pairwise([o.base._mask for o in obs_list], n):
         raise ValueError("not co-measurable")
 
     fresh = (2 << i for i in itertools.count()).__next__

@@ -134,3 +134,21 @@ class TestConfigFiles:
             bb.parse_config("0 1 1\n")
         with pytest.raises(ValueError):
             bb.parse_config("y7\n")
+
+    @pytest.mark.parametrize("line", ["y0", "Y0", "  y0 ", "0 0", " 0\t0 "])
+    def test_one_grammar_accepts(self, line):
+        assert bb._parse_function(line) == BooleanFunction(0, 0)
+        assert bb.parse_config(line + "\n") == BlackBoxConfig.from_labels([0])
+
+    @pytest.mark.parametrize(
+        "line",
+        ["yy3", "3", "y+2", "y 2", "y02", "y-0", "y4", "y\u0663", "\u0661 \u0660",
+         "+1 0", "01", "0 1 1", "0", "z1", ""],
+    )
+    def test_one_grammar_refuses(self, line):
+        with pytest.raises(ValueError, match="bad function"):
+            bb._parse_function(line)
+
+    def test_config_errors_keep_line_numbers(self):
+        with pytest.raises(ValueError, match="line 4"):
+            bb.parse_config("# boxes\ny1\n\nyy3  # a typo\n")

@@ -254,6 +254,19 @@ class TestDemos:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("labels", ["yy1", "y+1", "y\u0661", "1", "y1,,y1", "y 1"])
+    def test_labels_outside_the_grammar_are_exit_one(self, capsys, labels):
+        code, out, err = run(capsys, "q1-demo", "--labels", labels, "--runs", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad function") and err.count("\n") == 1
+
+    def test_labels_take_the_config_file_grammar(self, capsys):
+        _, want, _ = run(capsys, "ghz-demo", "--labels", "y1,y2,y3")
+        code, out, _ = run(capsys, "ghz-demo", "--labels", " Y1,1 0 ,y3")
+        assert code == 0
+        assert out == want
+
     def test_config_size_mismatch(self, capsys):
         code, _, err = run(capsys, "q1-demo", "--labels", "y1,y2")
         assert code == 1

@@ -15,7 +15,7 @@ from axiombox import stabilizer as stab
 from axiombox.experiment import _RUN_CAP, philox_rng
 
 # Characters the parsers give meaning to, plus a few they must reject.
-PAULI_CHARS = "IXYZixyz+- ,y0123#\t\n.ß"
+PAULI_CHARS = "IXYZixyz+- ,y0123#\t\n.ßı"
 TOKEN = st.text(alphabet=PAULI_CHARS, max_size=8) | st.text(max_size=6)
 TOKEN_LIST = st.lists(TOKEN, min_size=1, max_size=4).map(",".join)
 

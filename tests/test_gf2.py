@@ -1,5 +1,6 @@
 """Exact GF(2) linear algebra: ranks, span membership, symplectic products."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,34 @@ from hypothesis import strategies as st
 from axiombox.gf2 import (
     BitMatrix,
     BitVector,
+    _pairing_transpose,
     in_span,
     rank,
-    swap_halves,
     symplectic_product,
 )
 
 # The three-qubit product-observable axiom vectors (YYX, YXY, XYY) in
 # (x-part | z-part) layout; reused across the suite.
 GHZ_AXIOM_ROWS = ["111110", "111101", "111011"]
+
+
+# Frozen references: the library transposes only through _pairing_transpose.
+def transpose(matrix):
+    """The transpose as a double loop over the bits."""
+    cols = []
+    for j in range(matrix.num_cols):
+        mask = 0
+        for i, rm in enumerate(matrix.row_masks):
+            mask |= ((rm >> j) & 1) << i
+        cols.append(BitVector.from_mask(mask, matrix.num_rows))
+    return BitMatrix(cols, num_cols=matrix.num_rows)
+
+
+def swap_halves(v):
+    """Exchange the x- and z-parts, so that ``u . swap_halves(v)`` (dot =
+    parity of AND) equals ``symplectic_product(u, v)``."""
+    n = len(v) // 2
+    return BitVector.from_mask((v.mask & ((1 << n) - 1)) << n | v.mask >> n, 2 * n)
 
 
 @st.composite
@@ -56,16 +76,7 @@ class TestBitVector:
         with pytest.raises(ValueError):
             a ^ BitVector("10")
 
-    def test_halves(self):
-        x, z = BitVector("101101").halves()
-        assert x == BitVector("101")
-        assert z == BitVector("101")
-        with pytest.raises(ValueError):
-            BitVector("101").halves()
-
-    def test_concat_and_unit(self):
-        v = BitVector.concat(BitVector("10"), BitVector("01"))
-        assert v == BitVector("1001")
+    def test_unit(self):
         assert BitVector.unit(2, 4) == BitVector("0010")
 
 
@@ -86,7 +97,7 @@ class TestRank:
     @settings(max_examples=150, deadline=None)
     @given(bit_matrices())
     def test_rank_equals_transpose_rank(self, m):
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
 
 class TestInSpan:
@@ -198,6 +209,19 @@ class TestSymplecticProduct:
             for b in range(0, 64, 7):
                 vb = BitVector.from_mask(b, 6)
                 assert (va & swap_halves(vb)).parity() == symplectic_product(va, vb)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 33])
+    def test_pairing_transpose_is_the_swapped_transpose(self, n):
+        rng = random.Random(n)
+        masks = [rng.getrandbits(2 * n) for _ in range(rng.randint(1, 2 * n))]
+        vectors = [BitVector.from_mask(m, 2 * n) for m in masks]
+        want = transpose(BitMatrix([swap_halves(v) for v in vectors]))
+        assert _pairing_transpose(masks, n) == list(want.row_masks)
+        for j, row in enumerate(_pairing_transpose(masks, n)):
+            e_j = BitVector.unit(j, 2 * n)
+            assert [row >> q & 1 for q in range(len(masks))] == [
+                symplectic_product(e_j, v) for v in vectors
+            ]
 
 
 class TestIsotropicBases:

@@ -227,6 +227,19 @@ class TestTextFormat:
             with pytest.raises(ValueError, match="Pauli letter"):
                 pauli.parse_observable(text)
 
+    def test_lowercase_letters(self):
+        assert pauli.parse_observable("-xyzi") == pauli.parse_observable("-XYZI")
+
+    @pytest.mark.parametrize(
+        "text,letter",
+        [("ıı", "ı"), ("Xı", "ı"), ("xq", "q"), ("Xß", "ß"), ("ＸＺ", "Ｘ"), ("ZZ\u0130", "\u0130")],
+    )
+    def test_only_ascii_letters_named_as_typed(self, text, letter):
+        # "ı".upper() == "I" and "ß".upper() == "SS": no case mapping is applied.
+        with pytest.raises(ValueError) as excinfo:
+            pauli.parse_observable(text)
+        assert str(excinfo.value) == f"bad Pauli letter {letter!r} in {text!r}"
+
     def test_empty_rejected(self):
         for text in ("-", "", "   ", "+ "):
             with pytest.raises(ValueError, match="empty Pauli string"):
