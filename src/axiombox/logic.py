@@ -13,6 +13,7 @@ that divergence.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -24,7 +25,7 @@ from .gf2 import BitMatrix, BitVector, _reduce
 from .pauli import SignedObservable
 from .stabilizer import MeasurementKind, StabilizerTableau
 
-ENUMERATION_CAP = 8
+ENUMERATION_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,12 @@ class AxiomSet:
     Vectors must be pairwise symplectically orthogonal and GF(2)-independent,
     i.e. they must describe a co-measurable, information-complete axiom
     system for N qubits.  The independence check (:func:`stabilizer.check_axioms`)
-    is the one elimination of the axiom matrix: :func:`classify` and
-    :func:`enumerate_propositions` only reduce against its kept pivots.
+    is the one elimination of the axiom matrix: :func:`classify`,
+    :func:`classical_truth` and :func:`enumerate_propositions` only reduce
+    against its kept pivots.
     """
 
-    __slots__ = ("_vectors", "_parities", "_pivots")
+    __slots__ = ("_vectors", "_parities", "_pivots", "_parity_mask")
 
     def __init__(self, vectors: Sequence[BitVector], parities: Sequence[int]):
         vectors = tuple(vectors)
@@ -78,6 +80,8 @@ class AxiomSet:
         self._pivots = stab.check_axioms(vectors, lambda masks, n: masks)
         self._vectors = vectors
         self._parities = parities
+        # bit p is axiom p's parity, matching bit p of a _reduce combo
+        self._parity_mask = sum(t << p for p, t in enumerate(parities))
 
     @property
     def vectors(self) -> tuple:
@@ -145,14 +149,19 @@ class PropositionCounts(NamedTuple):
     independent: int
 
 
-def classify(j: Proposition, axioms: AxiomSet) -> DependenceReport:
-    """Dependence test: is the proposition vector in the axioms' GF(2) span?"""
+def _reduce_against(j: Proposition, axioms: AxiomSet) -> tuple:
+    """:func:`gf2._reduce` of the proposition against the axiom pivots."""
     if len(j.vector) != 2 * axioms.n_qubits:
         raise ValueError(
             f"length mismatch: proposition {len(j.vector)}, "
             f"axioms expect {2 * axioms.n_qubits}"
         )
-    residue, combo = _reduce(j.vector.mask, axioms._pivots)
+    return _reduce(j.vector.mask, axioms._pivots)
+
+
+def classify(j: Proposition, axioms: AxiomSet) -> DependenceReport:
+    """Dependence test: is the proposition vector in the axioms' GF(2) span?"""
+    residue, combo = _reduce_against(j, axioms)
     if residue:
         return DependenceReport(dependent=False)
     coeffs = BitVector.from_mask(combo, axioms.n_qubits)
@@ -160,14 +169,17 @@ def classify(j: Proposition, axioms: AxiomSet) -> DependenceReport:
     return DependenceReport(
         dependent=True,
         coefficients=coeffs,
-        classical_truth=sum(k & t for k, t in zip(coeffs, axioms.parities)) % 2,
+        classical_truth=(combo & axioms._parity_mask).bit_count() & 1,
         phase_bit=pauli.phase_bit(j.vector.mask, factors, axioms.n_qubits),
     )
 
 
 def classical_truth(j: Proposition, axioms: AxiomSet) -> Optional[int]:
     """Parity combination sum_p k_p * t_p of the axiom truths, or None."""
-    return classify(j, axioms).classical_truth
+    residue, combo = _reduce_against(j, axioms)
+    if residue:
+        return None
+    return (combo & axioms._parity_mask).bit_count() & 1
 
 
 def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
@@ -178,19 +190,35 @@ def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
     return 0 if result.outcome == 1 else 1
 
 
-def enumerate_propositions(n: int, axioms: AxiomSet) -> PropositionCounts:
-    """Exhaustively classify all 4^n proposition vectors.
+def _half_residues(shift: int, n: int, pivots: list) -> list:
+    """Residues of the 2^n masks ``k << shift`` (entry k), from the n unit
+    vectors' residues by doubling: one XOR per entry."""
+    out = [0]
+    for i in range(n):
+        unit = _reduce(1 << (shift + i), pivots)[0]
+        out += [r ^ unit for r in out]
+    return out
 
-    For any valid axiom set the result is (2^n, 4^n - 2^n): the span of n
-    independent vectors has 2^n elements.
+
+def enumerate_propositions(n: int, axioms: AxiomSet) -> PropositionCounts:
+    """Count the 4^n proposition vectors that depend on the axioms, by meet
+    in the middle.
+
+    The residue of :func:`gf2._reduce` is the one vector of ``mask``'s coset
+    of the span that is zero on every pivot column, so it is linear in
+    ``mask``.  Writing a mask as ``hi << n ^ lo``, it is dependent exactly
+    when ``residue(hi << n) == residue(lo)``.  The 2^n residues of each half
+    come from n reductions of its unit vectors and 2^n XORs; tallying the low
+    ones and summing the tallies of the high ones counts each of the 4^n
+    vectors once.  For any valid axiom set the result is (2^n, 4^n - 2^n):
+    the span of n independent vectors has 2^n elements.
     """
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
     if axioms.n_qubits != n:
         raise ValueError(f"axiom set is for {axioms.n_qubits} qubits, not {n}")
-    dependent = sum(
-        1 for mask in range(4 ** n) if not _reduce(mask, axioms._pivots)[0]
-    )
+    tally = Counter(_half_residues(0, n, axioms._pivots))
+    dependent = sum(map(tally.__getitem__, _half_residues(n, n, axioms._pivots)))
     return PropositionCounts(dependent, 4 ** n - dependent)
 
 

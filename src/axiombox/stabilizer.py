@@ -216,14 +216,19 @@ class OutcomeDistribution:
                 bits |= 1 << k
             elif s != 1:
                 return 0.0
-        # Each step clears the lowest set bit, a pivot whenever bits is in the set.
-        bits ^= self._reference
+        if not self._in_span(bits ^ self._reference):
+            return 0.0
+        return 0.5 ** len(self._pivots)
+
+    def _in_span(self, bits: int) -> bool:
+        """Whether the word ``bits`` is a combination of the columns."""
+        # Each step clears the lowest set bit, a pivot whenever bits is in the span.
         while bits:
             column = self._pivots.get(bits & -bits)
             if column is None:
-                return 0.0
+                return False
             bits ^= column
-        return 0.5 ** len(self._pivots)
+        return True
 
     def support(self) -> list:
         return sorted(s for s, p in self._expanded().items() if p > 0.0)
@@ -239,9 +244,21 @@ class OutcomeDistribution:
         )
 
     def __eq__(self, other: object) -> bool:
+        """Equal probabilities on every sign-vector.  Two affine sets are
+        compared without expanding: they are equal when they have the same
+        size, each of ``other``'s columns is in the span of this one's, and
+        the references differ by a vector of that span, in O(r^2) word XORs."""
         if not isinstance(other, OutcomeDistribution):
             return NotImplemented
-        return self.max_deviation(other) == 0.0
+        if self._pivots is None or other._pivots is None:
+            return self.max_deviation(other) == 0.0
+        if self._num_observables != other._num_observables:
+            raise ValueError("distributions are over different observable counts")
+        return (
+            len(self._pivots) == len(other._pivots)
+            and all(map(self._in_span, other._pivots.values()))
+            and self._in_span(self._reference ^ other._reference)
+        )
 
     def __repr__(self) -> str:
         body = ", ".join(

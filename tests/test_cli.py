@@ -77,8 +77,8 @@ class TestExitCodes:
             (["oracle-compare", "--n", "13", "--trials", "1"], "--n must lie in [1, 12], got 13"),
             (["oracle-compare", "--n", "40", "--trials", "1"], "--n must lie in [1, 12], got 40"),
             (["oracle-compare", "--n", "0"], "--n must lie in [1, 12], got 0"),
-            (["enumerate", "--n", "9"], "--n must lie in [1, 8], got 9"),
-            (["enumerate", "--n", "1000000000"], "--n must lie in [1, 8], got 1000000000"),
+            (["enumerate", "--n", "17"], "--n must lie in [1, 16], got 17"),
+            (["enumerate", "--n", "1000000000"], "--n must lie in [1, 16], got 1000000000"),
             (["q1-demo", "--runs", "10000000000000"],
              "n_runs must lie in [1, 1000000], got 10000000000000"),
             (["sample", "--state", "{bell}", "--obs", "ZI", "--runs", "1000001"],
@@ -194,6 +194,11 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "2")
         assert code == 0
         assert out == "dependent: 4, independent: 12\n"
+
+    def test_default_axioms_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "16")
+        assert code == 0
+        assert out == "dependent: 65536, independent: 4294901760\n"
 
     def test_axiom_file(self, tmp_path, capsys):
         axioms = tmp_path / "ghz.axioms"

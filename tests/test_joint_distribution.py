@@ -18,6 +18,7 @@ import pytest
 from axiombox import pauli
 from axiombox import stabilizer as stab
 from axiombox.experiment import philox_rng
+from axiombox.gf2 import _echelon
 from axiombox.stabilizer import MeasurementKind, OutcomeDistribution
 
 
@@ -216,3 +217,86 @@ class TestAffineConstructor:
         for signs in dist.outcomes:
             assert dist.probability(signs) == 0.25
         assert dist.probability((-1, 1, 1)) == 0.0
+
+
+def random_word(rng, m):
+    return int("".join(str(int(b)) for b in rng.integers(0, 2, m)), 2)
+
+
+def random_affine_set(rng, m, r):
+    """A reference and r independent m-bit columns with distinct lowest set
+    bits, as ``OutcomeDistribution._affine`` takes them: ``_echelon`` rows
+    have them."""
+    while True:
+        pivots = _echelon([random_word(rng, m) for _ in range(r + 4)])
+        if len(pivots) >= r:
+            return random_word(rng, m), [row for _, row, _ in pivots[:r]]
+
+
+def rebased(rng, reference, columns):
+    """Another basis of the same span, still with distinct lowest set bits
+    (each column takes in some columns of higher lowest bit), in shuffled
+    order, and another reference from the same coset."""
+    columns = sorted(columns, key=lambda c: c & -c)
+    for i in range(len(columns)):
+        for j in range(i + 1, len(columns)):
+            if rng.integers(0, 2):
+                columns[i] ^= columns[j]
+    for column in columns:
+        if rng.integers(0, 2):
+            reference ^= column
+    rng.shuffle(columns)
+    return reference, columns
+
+
+def outside_word(columns, m):
+    """A unit word whose bit is no column's lowest set bit: not in the span."""
+    pivots = {c & -c for c in columns}
+    return next(1 << k for k in range(m) if 1 << k not in pivots)
+
+
+class TestAffineEquality:
+    """``==`` between two affine sets compares references and spans; the
+    expanding ``max_deviation`` is the reference."""
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_matches_the_expanding_path(self, m):
+        rng = philox_rng(m, 4242)
+        verdicts = []
+        for _ in range(12):
+            r = int(rng.integers(0, min(m, RANDOM_CAP) + 1))
+            reference, columns = random_affine_set(rng, m, r)
+            others = [rebased(rng, reference, columns), random_affine_set(rng, m, r)]
+            if r < m:
+                shift = outside_word(columns, m)
+                others.append((reference ^ shift, columns))
+                others.append((reference, columns + [shift]))
+            if r:
+                others.append((reference, columns[1:]))
+            for ref_b, columns_b in others:
+                a = OutcomeDistribution._affine(reference, columns, m)
+                b = OutcomeDistribution._affine(ref_b, columns_b, m)
+                verdict = a == b
+                assert (b == a) is verdict
+                assert a._outcomes is None and b._outcomes is None
+                assert verdict is (a.max_deviation(b) == 0.0)
+                dense_b = OutcomeDistribution(b.outcomes, m)
+                assert (a == dense_b) is verdict and (dense_b == a) is verdict
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    def test_different_observable_counts_raise(self):
+        a = OutcomeDistribution._affine(0, [0b1], 2)
+        b = OutcomeDistribution._affine(0, [0b1], 3)
+        with pytest.raises(ValueError, match="different observable counts"):
+            a == b
+
+    def test_m64_r32_without_expanding(self):
+        rng = philox_rng(64, 32)
+        reference, columns = random_affine_set(rng, 64, 32)
+        d = OutcomeDistribution._affine(reference, columns, 64)
+        assert d == d
+        assert d == OutcomeDistribution._affine(*rebased(rng, reference, columns), 64)
+        shifted = reference ^ outside_word(columns, 64)
+        assert d != OutcomeDistribution._affine(shifted, columns, 64)
+        assert d._outcomes is None

@@ -6,7 +6,7 @@ from axiombox import blackbox as bb
 from axiombox import logic, pauli
 from axiombox import stabilizer as stab
 from axiombox.blackbox import BlackBoxConfig
-from axiombox.gf2 import BitVector
+from axiombox.gf2 import BitVector, _reduce
 from axiombox.logic import AxiomSet, Proposition
 from axiombox.stabilizer import MeasurementKind
 
@@ -85,6 +85,33 @@ class TestClassicalTruth:
             report = logic.classify(prop(text), axioms)
             assert report.classical_truth == logic.classical_truth(prop(text), axioms)
         assert logic.classify(prop("ZII"), axioms).classical_truth is None
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_classify_on_random_propositions(self, n):
+        rng = np.random.default_rng(80 + n)
+        pairs = stab.random_axioms(n, rng)
+        axioms = AxiomSet([v for v, _ in pairs], rng.integers(0, 2, n))
+        masks = [v.mask for v in axioms.vectors]
+        for _ in range(40):
+            if rng.integers(0, 2):  # half of the draws are axiom combinations
+                mask = 0
+                for v, k in zip(masks, rng.integers(0, 2, n)):
+                    mask ^= v if k else 0
+            else:
+                mask = int(rng.integers(0, 4 ** n))
+            j = Proposition(BitVector.from_mask(mask, 2 * n))
+            assert logic.classical_truth(j, axioms) == logic.classify(j, axioms).classical_truth
+
+    def test_equals_classify_on_ghz(self):
+        for parities in ((1, 1, 1), (1, 0, 1), (0, 0, 0)):
+            axioms = ghz_axiom_set(parities)
+            for mask in range(64):
+                j = Proposition(BitVector.from_mask(mask, 6))
+                assert logic.classical_truth(j, axioms) == logic.classify(j, axioms).classical_truth
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            logic.classical_truth(prop("X"), ghz_axiom_set())
 
 
 class TestQuantumTruth:
@@ -181,19 +208,51 @@ class TestEnumerate:
     def test_cap(self):
         axioms = AxiomSet([BitVector("01")], [0])
         with pytest.raises(ValueError, match="cap"):
-            logic.enumerate_propositions(9, axioms)
+            logic.enumerate_propositions(17, axioms)
 
     def test_ratio_grows_as_two_to_n_minus_one(self):
-        # formula for n = 1..6, exhaustively confirmed for n <= 3
+        # formula for n = 1..6, exhaustively confirmed up to the cap
         for n in range(1, 7):
             dependent, independent = 2 ** n, 4 ** n - 2 ** n
             assert independent == dependent * (2 ** n - 1)
         rng = np.random.default_rng(62)
-        for n in (1, 2, 3):
+        for n in range(1, logic.ENUMERATION_CAP + 1):
             pairs = stab.random_axioms(n, rng)
             axioms = AxiomSet([v for v, _ in pairs], [0] * n)
             counts = logic.enumerate_propositions(n, axioms)
+            assert tuple(counts) == (2 ** n, 4 ** n - 2 ** n), n
             assert counts.independent == counts.dependent * (2 ** n - 1)
+
+
+def frozen_scan(n, axioms):
+    """``enumerate_propositions`` as it stood before the meet in the middle:
+    every one of the 4^n masks reduced against the axiom pivots."""
+    dependent = sum(
+        1 for mask in range(4 ** n) if not _reduce(mask, axioms._pivots)[0]
+    )
+    return (dependent, 4 ** n - dependent)
+
+
+class TestEnumerateMatchesFrozenScan:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_random_systems(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(3):
+            pairs = stab.random_axioms(n, rng)
+            axioms = AxiomSet([v for v, _ in pairs], rng.integers(0, 2, n))
+            assert tuple(logic.enumerate_propositions(n, axioms)) == frozen_scan(n, axioms)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_z_per_qubit(self, n):
+        """The CLI's default ``enumerate --n`` system."""
+        axioms = AxiomSet.from_observables(
+            [pauli.parse_observable("I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)]
+        )
+        assert tuple(logic.enumerate_propositions(n, axioms)) == frozen_scan(n, axioms)
+
+    def test_ghz(self):
+        axioms = ghz_axiom_set()
+        assert tuple(logic.enumerate_propositions(3, axioms)) == frozen_scan(3, axioms)
 
 
 class TestGhzReport:
