@@ -3,11 +3,12 @@
 States are plain complex vectors of 2^N amplitudes.  A Pauli operator acts on
 them as a signed permutation of the computational basis, ``P|c> = f_c |c ^ x>``
 with f_c one of +-1, +-i: one application costs O(2^N).  A state costs
-O(N 2^N) per basis vector scanned, and a joint distribution of m observables
-about 2^r m 2^N for r independent outcomes, since a branch of its walk stops
-as soon as its vector is exactly zero.  Every product is an exact +-1 or +-i
-times a double, so a disagreement with the exact tableau path is always a
-real bug, never numerical noise.
+O(N 2^N), its support read off its diagonal stabilizers with no search, and
+a joint distribution of m observables about 2^r m 2^N for r independent
+outcomes, since a branch of its walk stops as soon as its vector is exactly
+zero.  Every product is an exact +-1 or +-i times a double, so a
+disagreement with the exact tableau path is always a real bug, never
+numerical noise.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ DenseState = np.ndarray
 DenseOperator = np.ndarray
 
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
-_MAX_BLOCK = 64  # basis vectors projected at once by state_from_axioms
 
 
 def _check_cap(n_qubits: int) -> None:
@@ -66,31 +66,20 @@ def pauli_matrix(obs: SignedObservable) -> DenseOperator:
     return obs.sign * pauli_term_matrix(obs.base)
 
 
-def _rank(masks: Sequence[int]) -> int:
-    """GF(2) rank of int masks: each kept mask has a leading bit that every
-    later kept mask lacks, so ``min(m, m ^ b)`` clears that bit when set."""
-    basis = []
-    for mask in masks:
-        for b in basis:
-            mask = min(mask, mask ^ b)
-        if mask:
-            basis.append(mask)
-    return len(basis)
-
-
 def state_from_axioms(axioms) -> DenseState:
     """Normalized joint eigenstate of the signed axiom observables.
 
     ``axioms`` is anything with ``generator_pairs()`` (an AxiomSet) or a
-    plain list of (vector, sign) pairs.  Applies the projector
-    ``prod_p (1 + sign_p * Omega_p)/2`` to computational basis vectors in
-    order, in blocks of 1, 2, 4, ... up to 64, until one survives: the
-    factors act in reverse axiom order, each on a whole block as a signed
-    permutation, so a scanned basis vector costs O(N 2^N).  The axioms must
-    commute and fix exactly one state.  Commuting Pauli projectors fix a
-    space of dimension 0 when their signs clash (then no basis vector
-    survives; every amplitude is an exact dyadic, so a zero is exact) and
-    2^(N - rank) otherwise, the rank taken over GF(2).
+    plain list of (vector, sign) pairs.  The axioms must commute and fix
+    exactly one state.  Commuting Pauli projectors fix a space of dimension
+    0 when their signs clash and 2^(N - rank) otherwise, the rank taken over
+    GF(2).  The space's support in the computational basis is where every
+    diagonal (Z-type) product of the signed axioms is +1, and a clash is a
+    product that is -1 everywhere.  One elimination of the (x|z) masks,
+    x-part leading, gives the rank and those products: the rows whose x-part
+    reduces to zero.  The projector ``prod_p (1 + sign_p * Omega_p)/2``,
+    factors in reverse axiom order, then acts on the least basis vector in
+    the support alone, at O(N 2^N).
     """
     pairs = axioms.generator_pairs() if hasattr(axioms, "generator_pairs") else list(axioms)
     if not pairs:
@@ -105,23 +94,34 @@ def state_from_axioms(axioms) -> DenseState:
     masks = [vector.mask for vector, _ in pairs]
     if not _commute_pairwise(masks, n):
         raise ValueError("axioms not co-measurable")
-    actions = [_signed_permutation(b, sign) for b, (_, sign) in zip(bases, pairs)][::-1]
-    size = 2 ** n
-    start, block, column = 0, 1, None
-    while column is None and start < size:
-        stop = min(start + block, size)
-        rows = np.zeros((stop - start, size), dtype=complex)
-        rows[np.arange(stop - start), np.arange(start, stop)] = 1
-        for perm, factors in actions:  # row r <- (1 + Omega) r / 2
-            applied = (rows * factors)[:, perm]  # perm is an XOR, its own inverse
-            applied += rows
-            applied *= 0.5  # exactly /2, and far cheaper on complex arrays
-            rows = applied
-        column = next((r for r in rows if np.linalg.norm(r) > 1e-9), None)
-        start, block = stop, min(2 * block, _MAX_BLOCK)
-    dimension = 0 if column is None else 2 ** (n - _rank(masks))
+    actions = [_signed_permutation(b, sign) for b, (_, sign) in zip(bases, pairs)]
+    size, low = 2 ** n, (1 << n) - 1
+    rows, support = [], np.ones(size, dtype=bool)
+    for i, mask in enumerate(masks):
+        key, combo = (mask & low) << n | mask >> n, 1 << i
+        for b_key, b_combo in rows:  # each kept key has a leading bit no later one has
+            if key ^ b_key < key:
+                key, combo = key ^ b_key, combo ^ b_combo
+        if key:
+            rows.append((key, combo))
+        if key >> n == 0:  # the axioms in combo multiply to a diagonal
+            index, diagonal = np.arange(size), np.ones(size, dtype=complex)
+            for j, (perm, factors) in enumerate(actions):
+                if combo >> j & 1:
+                    diagonal *= factors[index]
+                    index = perm[index]
+            support &= diagonal == 1
+    hits = np.flatnonzero(support)
+    dimension = 2 ** (n - len(rows)) if len(hits) else 0
     if dimension != 1:
         raise ValueError(f"axioms fix a space of dimension {dimension}, not 1")
+    column = np.zeros(size, dtype=complex)
+    column[hits[0]] = 1
+    for perm, factors in reversed(actions):  # column <- (1 + Omega) column / 2
+        applied = (column * factors)[perm]  # perm is an XOR, its own inverse
+        applied += column
+        applied *= 0.5  # exactly /2, and far cheaper on complex arrays
+        column = applied
     return column / np.linalg.norm(column)
 
 
@@ -153,7 +153,7 @@ def distribution(
         if index == len(actions):
             prob = float(np.real(np.vdot(vec, vec)))
             if prob > 1e-15:
-                outcomes[signs] = outcomes.get(signs, 0.0) + prob
+                outcomes[signs] = prob  # each sign tuple ends one walk path
             return
         perm, factors = actions[index]
         applied = (factors * vec)[perm]  # perm is an XOR, its own inverse

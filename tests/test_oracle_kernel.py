@@ -180,6 +180,64 @@ def test_equals_frozen_projector_oracle(n, m, seed):
     assert list(got.items()) == list(unpruned_distribution(frozen, observables).items())
 
 
+def minus_z(n):
+    """-Z on every qubit: the all-ones state, support {2^n - 1}."""
+    return [(BitVector.unit(n + q, 2 * n), -1) for q in range(n)]
+
+
+def late_support_axioms(kind, n, rng):
+    """Signed axioms whose one-state support may start anywhere in [0, 2^n):
+    a +-Z product state, a ZZ chain with X on every qubit (GHZ-like), or a
+    random system with every sign flipped."""
+    if kind == "flipped_random":
+        return [(vector, -sign) for vector, sign in stab.random_axioms(n, rng)]
+    if kind == "z_product":
+        vectors = [BitVector.unit(n + q, 2 * n) for q in range(n)]
+    else:
+        vectors = [BitVector.from_mask(3 << n + q, 2 * n) for q in range(n - 1)]
+        vectors.append(BitVector.from_mask((1 << n) - 1, 2 * n))
+    return [(v, 1 - 2 * int(b)) for v, b in zip(vectors, rng.integers(0, 2, size=n))]
+
+
+LATE_KINDS = ("z_product", "ghz", "flipped_random")
+
+
+@pytest.mark.parametrize("kind", LATE_KINDS)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_late_support_equals_frozen_projector_oracle(n, kind):
+    rng = philox_rng(n, 2000 + LATE_KINDS.index(kind))
+    for _ in range(3):
+        axioms = late_support_axioms(kind, n, rng)
+        observables = stab.random_commuting_observables(n, n, rng)
+        state = oracle.state_from_axioms(axioms)
+        frozen = projector_state_from_axioms(axioms)
+        assert np.array_equal(state, frozen)
+        got = oracle.distribution(state, observables).outcomes
+        assert list(got.items()) == list(unpruned_distribution(frozen, observables).items())
+
+
+CAP = oracle.DENSE_CAP
+
+
+def test_all_ones_state_at_the_cap_is_the_last_basis_vector():
+    last = np.zeros(2 ** CAP, dtype=complex)
+    last[-1] = 1
+    assert np.array_equal(oracle.state_from_axioms(minus_z(CAP)), last)
+
+
+@pytest.mark.parametrize(
+    "axioms, dimension",
+    [
+        (minus_z(CAP) + [(BitVector.unit(CAP, 2 * CAP), 1)], 0),  # +Z on qubit 1 clashes
+        (minus_z(CAP)[:-1] + [(BitVector.from_mask(3 << CAP, 2 * CAP), 1)], 2),  # +Z1 Z2
+    ],
+    ids=["clashing_signs", "one_dependent_axiom"],
+)
+def test_sets_that_fix_no_one_state_at_the_cap(axioms, dimension):
+    with pytest.raises(ValueError, match=f"^axioms fix a space of dimension {dimension}, not 1$"):
+        oracle.state_from_axioms(axioms)
+
+
 @pytest.mark.parametrize("n", range(1, oracle.DENSE_CAP + 1))
 def test_tableau_agrees_with_the_oracle_up_to_the_cap(n):
     """The affine distribution against the dense one, in both directions,
