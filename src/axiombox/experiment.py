@@ -10,6 +10,7 @@ any order (or concurrently) without changing the output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
@@ -29,7 +30,9 @@ _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.ui
 def philox_rng(seed: int, substream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed on (seed, substream): streams for
     different substreams never overlap, whatever order they are drawn in.
-    Both keys must lie in [0, 2^64), so that distinct keys never alias."""
+    Both keys must be integers in [0, 2^64), so that distinct keys never
+    alias: a float key raises TypeError instead of being truncated."""
+    seed, substream = operator.index(seed), operator.index(substream)
     if not (0 <= seed < 1 << 64 and 0 <= substream < 1 << 64):
         raise ValueError(f"seed {seed}, substream {substream}: not in [0, 2^64)")
     key = np.array([seed, substream], dtype=np.uint64)
@@ -199,6 +202,8 @@ def classify_record(record: RunRecord, threshold: float = 0.25) -> Verdict:
         raise ValueError("classification needs a single binary observable")
     if record.n_runs < 1 or not record.counts:
         raise ValueError("empty record")
+    if not 0.0 < threshold < 0.5:  # written so that NaN fails too
+        raise ValueError(f"threshold must lie in (0, 0.5), got {threshold}")
     imbalance = abs(record.frequency((1,)) - 0.5)
     decision = Decision.DEPENDENT if imbalance > threshold else Decision.INDEPENDENT
     margin = abs(imbalance - threshold)
@@ -230,6 +235,7 @@ def decay_study(
         raise ValueError(f"trials must lie in [1, {_RUN_CAP}], got {trials}")
     rows = []
     for stream_index, length in enumerate(run_lengths):
+        length = operator.index(length)  # a float length would be truncated
         if not 1 <= length < 1 << 63:  # numpy draws binomials of int64 size
             raise ValueError(f"run length must lie in [1, 2^63), got {length}")
         rng = philox_rng(seed, stream_index)
@@ -244,7 +250,7 @@ def decay_study(
         )
         rows.append(
             DecayRow(
-                run_length=int(length),
+                run_length=length,
                 error_rate=(dep_errors + ind_errors) / (2 * trials),
                 dependent_error_rate=dep_errors / trials,
                 independent_error_rate=ind_errors / trials,

@@ -3,7 +3,11 @@
 Vectors pack their bits into a single Python integer (bit ``j`` of the mask
 is entry ``j``), so XOR/AND of whole vectors run word-parallel in C no matter
 the length.  Everything here is immutable and hashable; all arithmetic is
-exact, with no floating point anywhere.
+exact, with no floating point anywhere.  The one elimination, ``_echelon``,
+works on one int per row, the row's combination of original rows packed
+above its bits, and returns fully reduced pivot rows: each is zero at every
+other pivot column, so a pivot row of a full-rank square system is a unit
+vector and its combination solves for it.
 
 Symplectic layout convention, shared by every module in this package: a
 vector of even length ``2N`` is split as ``(x-part | z-part)`` with qubit
@@ -162,34 +166,34 @@ class BitMatrix:
 
 
 def _echelon(rows: Sequence[int]) -> list:
-    """Forward elimination of the row masks with combination tracking.
+    """Gauss-Jordan elimination of the row masks with combination tracking.
 
+    Row i is worked on as one int ``rows[i] | 1 << (w + i)``, w the rows'
+    bit width, so one XOR updates a row and the combination in its high bits.
     Pivots are chosen left-to-right; within a column the first remaining
-    nonzero row wins, so the echelon form (and every coefficient vector
-    derived from it) is deterministic.
+    nonzero row wins and every other row is eliminated, so the result (and
+    every coefficient vector derived from it) is deterministic.
 
     Returns a list of ``(pivot_col, row_mask, combo_mask)`` in pivot order,
-    where ``combo_mask`` records which original rows were XORed together.
+    where ``combo_mask`` names the original rows that XOR to ``row_mask``.
+    Each row is fully reduced: zero at every other pivot column, with its
+    lowest set bit at its own pivot column.
     """
-    work = [(m, 1 << i) for i, m in enumerate(rows)]
-    pivots = []
-    done = 0
-    for col in range(max(rows, default=0).bit_length()):
-        hit = next(
-            (k for k in range(done, len(work)) if (work[k][0] >> col) & 1), None
-        )
+    width = max(rows, default=0).bit_length()
+    work = [m | 1 << (width + i) for i, m in enumerate(rows)]
+    cols = []
+    for col in range(width):
+        bit, done = 1 << col, len(cols)
+        hit = next((k for k in range(done, len(work)) if work[k] & bit), None)
         if hit is None:
             continue
-        work[done], work[hit] = work[hit], work[done]
-        pm, pc = work[done]
-        for k in range(len(work)):
-            if k != done and (work[k][0] >> col) & 1:
-                work[k] = (work[k][0] ^ pm, work[k][1] ^ pc)
-        pivots.append((col, pm, pc))
-        done += 1
-        if done == len(work):
+        pivot, work[hit] = work[hit], work[done]
+        work = [w ^ pivot if w & bit else w for w in work]
+        work[done] = pivot
+        cols.append(col)
+        if done + 1 == len(work):
             break
-    return pivots
+    return [(col, w & ~(-1 << width), w >> width) for col, w in zip(cols, work)]
 
 
 def rank(matrix: BitMatrix) -> int:

@@ -72,11 +72,12 @@ class AxiomSet:
 
     def __init__(self, vectors: Sequence[BitVector], parities: Sequence[int]):
         vectors = tuple(vectors)
-        parities = tuple(int(b) for b in parities)
+        parities = tuple(parities)
         if len(vectors) != len(parities):
             raise ValueError("one parity bit per axiom vector required")
-        if any(b not in (0, 1) for b in parities):
+        if any(b not in (0, 1) for b in parities):  # before int(), which truncates
             raise ValueError("parities must be bits")
+        parities = tuple(int(b) for b in parities)
         self._pivots = stab.check_axioms(vectors, lambda masks, n: masks)
         self._vectors = vectors
         self._parities = parities

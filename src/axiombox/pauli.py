@@ -14,6 +14,8 @@ that mask.  Qubit 1 is the leftmost tensor factor and bit 0 of the x/z parts.
 """
 from __future__ import annotations
 
+import operator
+
 from .blackbox import BlackBoxConfig, proposition_truth
 from .gf2 import BitVector, _symplectic
 
@@ -22,14 +24,17 @@ _Z_DIGITS = str.maketrans("IXYZixyz", "00110011")
 
 
 class PauliOperator:
-    """``i^phase * prod_j sx^{x_j} sz^{z_j}`` as one (x|z) mask; immutable."""
+    """``i^phase * prod_j sx^{x_j} sz^{z_j}`` as one (x|z) mask; immutable.
+
+    The public constructors take the phase through ``operator.index``, so a
+    non-integer phase raises TypeError instead of being stored."""
 
     __slots__ = ("_mask", "_n", "_phase")
 
     def __init__(self, x: BitVector, z: BitVector, phase: int = 0):
         if len(x) != len(z):
             raise ValueError(f"x/z length mismatch: {len(x)} vs {len(z)}")
-        self._set(x.mask | z.mask << len(x), len(x), phase)
+        self._set(x.mask | z.mask << len(x), len(x), operator.index(phase))
 
     def _set(self, mask: int, n: int, phase: int) -> None:
         if n < 1:
@@ -53,7 +58,7 @@ class PauliOperator:
         """Build from a 2N-bit (x-part | z-part) vector."""
         if len(v) % 2:
             raise ValueError(f"cannot halve a vector of odd length {len(v)}")
-        return cls._from_mask(v.mask, len(v) // 2, phase)
+        return cls._from_mask(v.mask, len(v) // 2, operator.index(phase))
 
     @property
     def x(self) -> BitVector:

@@ -31,7 +31,6 @@ from .gf2 import (
     _commute_pairwise,
     _echelon,
     _pairing_transpose,
-    _reduce,
     _symplectic,
     rank,
 )
@@ -298,16 +297,16 @@ def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
     pairwise symplectically orthogonal and GF(2)-independent.  The one
     elimination, run by :func:`check_axioms` on the transposed pairing matrix
     (row q of the pairing matrix dotted with d is <d, g_q>) that
-    :func:`gf2._pairing_transpose` builds from the masks, checks independence,
-    and reducing each unit vector e_p against its pivots gives the
-    destabilizer d_p with <d_p, g_q> = delta_pq.
+    :func:`gf2._pairing_transpose` builds from the masks, checks independence.
+    At rank N every column is a pivot, so pivot p's fully reduced row is e_p:
+    the destabilizers are the pivots' combinations, <d_p, g_q> = delta_pq.
     """
     vectors = [v for v, _ in axioms]
     signs = [s for _, s in axioms]
     if any(s not in (1, -1) for s in signs):
         raise ValueError("axiom signs must be +1 or -1")
     pivots = check_axioms(vectors, _pairing_transpose)
-    destabs = [_reduce(1 << p, pivots)[1] for p in range(len(vectors))]
+    destabs = [combo for _, _, combo in pivots]
     bits = [int(s < 0) for s in signs]
     return StabilizerTableau(len(vectors), [v.mask for v in vectors], bits, destabs)
 

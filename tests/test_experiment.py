@@ -173,7 +173,35 @@ class TestClassifyRecord:
             assert verdict.decision is expected
 
 
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, 0.5, 0.7, -0.1, math.inf])
+    def test_threshold_outside_open_interval_rejected(self, threshold):
+        record = xp.sample(z_plus(), [obs("+Z")], 10, seed=12)
+        with pytest.raises(ValueError, match="threshold"):
+            xp.classify_record(record, threshold)
+
+
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("seed, substream", [(1.5, 0), (1, 2.9), (np.float64(1), 0)])
+    def test_non_integer_keys_rejected(self, seed, substream):
+        with pytest.raises(TypeError):
+            xp.philox_rng(seed, substream)
+
+    def test_numpy_integer_keys_draw_the_int_stream(self):
+        a = xp.philox_rng(np.int64(1), np.uint32(2)).integers(0, 1 << 62, size=4)
+        b = xp.philox_rng(1, 2).integers(0, 1 << 62, size=4)
+        assert list(a) == list(b)
+
+
 class TestDecayStudy:
+    def test_non_integer_run_length_rejected(self):
+        with pytest.raises(TypeError):
+            xp.decay_study(NoiseModel(), [10.5], 10, seed=1)
+
+    def test_numpy_integer_run_length(self):
+        rows = xp.decay_study(NoiseModel(), [np.int64(10)], 10, seed=1)
+        assert rows == xp.decay_study(NoiseModel(), [10], 10, seed=1)
+        assert type(rows[0].run_length) is int
+
     def test_indistinguishable_regime_rejected(self):
         with pytest.raises(ValueError, match="indistinguishable"):
             xp.decay_study(NoiseModel(flip_prob=0.3), [10], 100, seed=1)

@@ -1,15 +1,21 @@
 """Exact GF(2) linear algebra: ranks, span membership, symplectic products."""
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axiombox import stabilizer as stab
+from axiombox.experiment import philox_rng
 from axiombox.gf2 import (
     BitMatrix,
     BitVector,
+    _echelon,
     _pairing_transpose,
+    _reduce,
     in_span,
     rank,
     symplectic_product,
@@ -241,3 +247,92 @@ class TestIsotropicBases:
                     assert all(
                         symplectic_product(v, row) == 0 for row in basis
                     )
+
+
+# Frozen references: the elimination as it stood before its rows were packed
+# with their combinations and fully reduced.
+def frozen_echelon(rows):
+    """Forward elimination on (row, combo) pairs; each pivot row is returned
+    as it was when its pivot was taken."""
+    work = [(m, 1 << i) for i, m in enumerate(rows)]
+    pivots = []
+    done = 0
+    for col in range(max(rows, default=0).bit_length()):
+        hit = next(
+            (k for k in range(done, len(work)) if (work[k][0] >> col) & 1), None
+        )
+        if hit is None:
+            continue
+        work[done], work[hit] = work[hit], work[done]
+        pm, pc = work[done]
+        for k in range(len(work)):
+            if k != done and (work[k][0] >> col) & 1:
+                work[k] = (work[k][0] ^ pm, work[k][1] ^ pc)
+        pivots.append((col, pm, pc))
+        done += 1
+        if done == len(work):
+            break
+    return pivots
+
+
+def frozen_reduce(mask, pivots):
+    combo = 0
+    for col, pm, pc in pivots:
+        if (mask >> col) & 1:
+            mask ^= pm
+            combo ^= pc
+    return mask, combo
+
+
+def random_rows(rng):
+    """0-40 rows of width 1-130, sparse or dense, with zero, repeated and
+    XOR-dependent rows mixed in."""
+    width = rng.randint(1, 130)
+    density = rng.choice([0.02, 0.1, 0.5, 0.9])
+    rows = []
+    for _ in range(rng.randint(0, 40)):
+        kind = rng.random()
+        if kind < 0.05:
+            rows.append(0)
+        elif rows and kind < 0.15:
+            rows.append(rng.choice(rows))
+        elif len(rows) > 1 and kind < 0.3:
+            picks = rng.sample(rows, rng.randint(2, len(rows)))
+            rows.append(functools.reduce(operator.xor, picks))
+        else:
+            rows.append(sum(1 << j for j in range(width) if rng.random() < density))
+    return width, rows
+
+
+class TestEchelonMatchesFrozen:
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_random_row_lists(self, chunk):
+        rng = random.Random(1400 + chunk)
+        for _ in range(250):
+            width, rows = random_rows(rng)
+            got, want = _echelon(rows), frozen_echelon(rows)
+            assert [c for c, _, _ in got] == [c for c, _, _ in want]
+            cols = {c for c, _, _ in got}
+            for col, row, combo in got:
+                assert row & -row == 1 << col
+                assert not any(row >> c & 1 for c in cols - {col})
+                assert row == functools.reduce(
+                    operator.xor, (m for i, m in enumerate(rows) if combo >> i & 1), 0
+                )
+            spanned = [
+                functools.reduce(operator.xor, rng.sample(rows, k), 0)
+                for k in range(min(len(rows), 10))
+            ]
+            noise = [rng.getrandbits(width) for _ in range(10)]
+            for v in spanned + noise:
+                assert _reduce(v, got) == frozen_reduce(v, want)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 17, 63, 64, 65, 128, 256])
+def test_destabilizers_match_frozen_reduction(n):
+    """Each destabilizer read off its pivot equals the reduction of e_p
+    against the frozen elimination of the transposed pairing matrix."""
+    axioms = stab.random_axioms(n, philox_rng(n, 1400))
+    pivots = frozen_echelon(_pairing_transpose([v.mask for v, _ in axioms], n))
+    destabs = [d.mask for d in stab.prepare(axioms).destabilizers]
+    assert destabs == [frozen_reduce(1 << p, pivots)[1] for p in range(n)]

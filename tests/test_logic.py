@@ -21,6 +21,19 @@ def ghz_axiom_set(parities=(1, 1, 1)):
 
 
 class TestAxiomSet:
+    @pytest.mark.parametrize("parity", [1.7, -0.5, np.float64(0.9), 0.5, "1", None])
+    def test_rejects_non_bit_parities(self, parity):
+        with pytest.raises(ValueError, match="bits"):
+            AxiomSet([prop("Z").vector], [parity])
+
+    @pytest.mark.parametrize("parity, want", [
+        (True, 1), (False, 0), (np.int64(1), 1), (np.uint8(0), 0),
+    ])
+    def test_bool_and_numpy_int_parities(self, parity, want):
+        axioms = AxiomSet([prop("Z").vector], [parity])
+        assert axioms.parities == (want,)
+        assert type(axioms.parities[0]) is int
+
     def test_from_observables_sign_to_parity(self):
         axioms = AxiomSet.from_observables(
             [pauli.parse_observable("-YYX"), pauli.parse_observable("-YXY"),

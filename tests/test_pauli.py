@@ -56,6 +56,24 @@ class TestFromProposition:
             pauli.from_proposition(BitVector("010"))
 
 
+class TestPhaseIsAnInteger:
+    @pytest.mark.parametrize("phase", [1.5, 0.5, 2.0, np.float64(1.0), "1"])
+    def test_non_integer_phase_rejected(self, phase):
+        with pytest.raises(TypeError):
+            PauliOperator(BitVector("1"), BitVector("0"), phase)
+        with pytest.raises(TypeError):
+            PauliOperator.from_vector(BitVector("10"), phase)
+
+    @pytest.mark.parametrize("phase", [np.int64(7), True, -1])
+    def test_integer_phase_kept_mod_4(self, phase):
+        p = PauliOperator(BitVector("1"), BitVector("1"), phase)
+        q = PauliOperator.from_vector(BitVector("11"), phase)
+        assert p == q
+        assert p.phase == int(phase) % 4
+        assert type(p.phase) is int
+        oracle.pauli_term_matrix(pauli.multiply(p, q))
+
+
 class TestMultiply:
     def test_x_times_z(self):
         p = pauli.multiply(obs("X").base, obs("Z").base)

@@ -77,6 +77,19 @@ class TestPinnedStreams:
         assert tableau.to_text() == "+ZYIY\n-YZXI\n+XZZI\n+XZZY\n"
         assert [d.mask for d in tableau.destabilizers] == [21, 20, 25, 29]
 
+    @pytest.mark.parametrize("n, want", [
+        (16, "07bf8c184843ced60d290c1a02518037d57085aa51d286238b3d13082f80e1fe"),
+        (64, "53e65ed0ff15d4787afc05f64e73a6a4ff5c17099bc40a14644d1a833fc6695c"),
+        (128, "eeeed5dab3ae57696bd8e0c2666f95984e479ca8b4efcbbabda5fd51fe6d55bc"),
+        (256, "8b45031ecb71c6c974e97418cec2619dd0c1eede34dc85f8d73f5d5ada810634"),
+    ])
+    def test_large_n_destabilizer_digests(self, n, want):
+        """sha256 of one hex destabilizer mask per line, recorded while each
+        destabilizer was still solved for by a reduction of its unit vector."""
+        tableau = stab.prepare(stab.random_axioms(n, philox_rng(n, 31)))
+        text = "".join(f"{d.mask:x}\n" for d in tableau.destabilizers)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+
     def test_q1_demo_output(self):
         out = cli_output("q1-demo", "--labels", "y1", "--runs", "200",
                          "--seed", "5", "--noise", "0.1")
@@ -102,4 +115,20 @@ def test_destabilizers_match_per_unit_vector_solve(n):
     tableau = stab.prepare(axioms)
     for p, d in enumerate(tableau.destabilizers):
         assert d == in_span(BitVector.unit(p, n), columns)
+    tableau.check_invariants()
+
+
+def test_prepare_reads_destabilizers_off_one_elimination(monkeypatch):
+    """``prepare`` eliminates once and reduces nothing afterwards."""
+    def no_reduce(*args):
+        raise AssertionError("reduced after the elimination")
+
+    calls = []
+    echelon = stab._echelon
+    monkeypatch.setattr(stab, "_echelon", lambda rows: calls.append(rows) or echelon(rows))
+    monkeypatch.setattr("axiombox.gf2._reduce", no_reduce)
+    monkeypatch.setattr("axiombox.stabilizer._reduce", no_reduce, raising=False)
+    tableau = stab.prepare(stab.random_axioms(32, philox_rng(32, 31)))
+    assert len(calls) == 1
+    monkeypatch.undo()
     tableau.check_invariants()
