@@ -16,6 +16,7 @@ Label convention: the four functions are numbered ``y_k`` with
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -25,14 +26,20 @@ from .gf2 import BitVector
 
 @dataclass(frozen=True)
 class BooleanFunction:
-    """One function {0,1} -> {0,1}, stored as its two values."""
+    """One function {0,1} -> {0,1}, stored as its two values.
+
+    The values and labels are taken through ``operator.index`` and stored as
+    ``int``, so a non-integer such as ``0.0`` raises TypeError."""
 
     f0: int
     f1: int
 
     def __post_init__(self):
-        if self.f0 not in (0, 1) or self.f1 not in (0, 1):
-            raise ValueError(f"function values must be bits, got ({self.f0}, {self.f1})")
+        f0, f1 = operator.index(self.f0), operator.index(self.f1)
+        if f0 not in (0, 1) or f1 not in (0, 1):
+            raise ValueError(f"function values must be bits, got ({f0}, {f1})")
+        object.__setattr__(self, "f0", int(f0))
+        object.__setattr__(self, "f1", int(f1))
 
     @property
     def label(self) -> int:
@@ -40,6 +47,7 @@ class BooleanFunction:
 
     @classmethod
     def from_label(cls, k: int) -> "BooleanFunction":
+        k = operator.index(k)
         if k not in (0, 1, 2, 3):
             raise ValueError(f"function label must be 0..3, got {k}")
         return cls(f0=k >> 1, f1=k & 1)

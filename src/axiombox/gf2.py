@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 BitsLike = Union["BitVector", Iterable[int], str]
+_CHAR_BITS = {"0": 0, "1": 1}  # the characters a str argument may hold
 
 
 class BitVector:
@@ -32,13 +33,14 @@ class BitVector:
         if isinstance(bits, BitVector):
             mask, length = bits._mask, bits._length
         else:
+            if isinstance(bits, str):
+                bits = [_CHAR_BITS.get(c, c) for c in bits]
             mask = 0
             length = 0
             for b in bits:
-                bit = int(b)
-                if bit not in (0, 1):
+                if b not in (0, 1):  # before int(), which truncates
                     raise ValueError(f"bit entries must be 0 or 1, got {b!r}")
-                mask |= bit << length
+                mask |= int(b) << length
                 length += 1
         self._mask = mask
         self._length = length
@@ -250,11 +252,22 @@ def _symplectic(a: int, b: int, n: int) -> int:
     return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
 
 
+def _swap_halves(mask: int, n: int) -> int:
+    """The 2n-bit (x|z) mask with its halves swapped, (z|x).  A 2n-bit mask b
+    then has ``_symplectic(mask, b, n) == (_swap_halves(mask, n) & b).bit_count() & 1``:
+    one AND and one popcount per row tested against ``mask``."""
+    return mask >> n | (mask & ~(-1 << n)) << n
+
+
 def _commute_pairwise(masks: Sequence[int], n: int) -> bool:
-    """True when the 2n-bit (x|z) masks commute pairwise (:func:`_symplectic`)."""
-    return not any(
-        _symplectic(a, b, n) for i, a in enumerate(masks) for b in masks[i + 1 :]
-    )
+    """True when the 2n-bit (x|z) masks commute pairwise: each mask is
+    swapped once (:func:`_swap_halves`) and tested against the masks after it."""
+    for i, a in enumerate(masks):
+        swapped = _swap_halves(a, n)
+        for b in masks[i + 1 :]:
+            if (swapped & b).bit_count() & 1:
+                return False
+    return True
 
 
 def _pairing_transpose(masks: Sequence[int], n: int) -> list:

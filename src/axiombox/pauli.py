@@ -15,6 +15,7 @@ that mask.  Qubit 1 is the leftmost tensor factor and bit 0 of the x/z parts.
 from __future__ import annotations
 
 import operator
+from typing import Sequence
 
 from .blackbox import BlackBoxConfig, proposition_truth
 from .gf2 import BitVector, _symplectic
@@ -122,6 +123,24 @@ def phase_bit(target: int, factors: list, n: int) -> int:
     if v != target:  # the rank-N invariant broke
         raise AssertionError("observable not in generator span")
     return ((target & target >> n).bit_count() - e) % 4 // 2
+
+
+def _pair_phase_bits(masks: Sequence[int], b: int, n: int) -> list:
+    """``phase_bit(a ^ b, [a, b], n)`` for each mask a in ``masks``, all
+    commuting with b, in closed form: the two-factor product is
+    ``i^e sx^x sz^z`` with e = h(a) + h(b) + 2|z(a) & x(b)|, h(v) the count
+    of Y factors ``(v & v >> n).bit_count()``, so the bit is
+    ``(h(a ^ b) - e) % 4 // 2``, with h(b) counted once for all rows."""
+    hb = (b & b >> n).bit_count()
+    return [
+        (
+            ((t := a ^ b) & t >> n).bit_count()
+            - (a & a >> n).bit_count()
+            - hb
+            - 2 * (a >> n & b).bit_count()
+        ) % 4 // 2
+        for a in masks
+    ]
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> int:

@@ -7,6 +7,9 @@ anticommutation partner per generator (the CHP layout of quant-ph/0406196).
 The pairing turns "which generators multiply to this observable" into N
 symplectic products, so a deterministic measurement costs O(N^2) bit
 operations and is phase-exact, and a collapse is XORs of masks and sign bits.
+Each row test is one AND and one popcount against the observable's mask with
+its halves swapped (:func:`gf2._swap_halves`, once per measurement), and a
+collapse's sign bits come from one :func:`pauli._pair_phase_bits`.
 
 Tableaus are value-like: measurement returns a fresh post-state instead of
 mutating, so states can be shared.  Signs only XOR, so they may be affine forms
@@ -31,7 +34,7 @@ from .gf2 import (
     _commute_pairwise,
     _echelon,
     _pairing_transpose,
-    _symplectic,
+    _swap_halves,
     rank,
 )
 from .pauli import SignedObservable
@@ -85,16 +88,12 @@ class StabilizerTableau:
         """Raise AssertionError if the tableau structure is broken."""
         n, gens = self._n, self._gens
         assert len(gens) == len(self._signs) == len(self._destabs) == n
-        for p in range(n):
-            for q in range(p + 1, n):
-                assert _symplectic(gens[p], gens[q], n) == 0, (
-                    "generators must commute pairwise"
-                )
+        assert _commute_pairwise(gens, n), "generators must commute pairwise"
         assert rank(self.generator_matrix()) == n, "generators must be independent"
         for p, d in enumerate(self._destabs):
-            for q, g in enumerate(gens):
-                want = 1 if p == q else 0
-                assert _symplectic(d, g, n) == want, "destabilizer pairing broken"
+            swapped = _swap_halves(d, n)
+            pairing = [(swapped & g).bit_count() & 1 for g in gens]
+            assert pairing[p] == sum(pairing) == 1, "destabilizer pairing broken"
 
     def to_text(self) -> str:
         """One signed generator per line, e.g. "+ZZI"."""
@@ -324,21 +323,23 @@ def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTable
 def _collapse(
     t: StabilizerTableau,
     ov: int,
+    swapped: int,
     sign: int,
     anticommuting: Sequence[int],
 ) -> StabilizerTableau:
     """Standard anticommuting-generator replacement with destabilizer upkeep;
-    generator q becomes C(ov) with sign bit ``sign``."""
+    generator q becomes C(ov) with sign bit ``sign``.  ``swapped`` is
+    ``_swap_halves(ov, n)``; every anticommuting generator p after q takes in
+    g_q, its sign bit from one :func:`pauli._pair_phase_bits` for all of them."""
     n = t._n
-    q = anticommuting[0]
-    gens, signs, destabs = list(t._gens), list(t._signs), list(t._destabs)
+    q, rest = anticommuting[0], anticommuting[1:]
+    gens, signs = list(t._gens), list(t._signs)
     gq, sq = gens[q], signs[q]
-    for p in anticommuting[1:]:
-        signs[p] ^= sq ^ pauli.phase_bit(gens[p] ^ gq, [gens[p], gq], n)
+    for p, c in zip(rest, pauli._pair_phase_bits([gens[p] for p in rest], gq, n)):
+        signs[p] ^= sq ^ c
         gens[p] ^= gq
-    for p, d in enumerate(destabs):
-        if p != q and _symplectic(ov, d, n):
-            destabs[p] = d ^ gq
+    # Destabilizer q is overwritten, so it needs no exception here.
+    destabs = [d ^ gq if (swapped & d).bit_count() & 1 else d for d in t._destabs]
     destabs[q] = gq
     gens[q], signs[q] = ov, sign
     return StabilizerTableau(n, gens, signs, destabs)
@@ -386,17 +387,18 @@ def _measure(
     if obs.n_qubits != n:
         raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
     ov = obs.base._mask
-    anticommuting = [p for p, g in enumerate(t._gens) if _symplectic(ov, g, n)]
+    swapped = _swap_halves(ov, n)  # <ov, g> is the parity of swapped & g
+    anticommuting = [p for p, g in enumerate(t._gens) if (swapped & g).bit_count() & 1]
     if not anticommuting:
         # The destabilizer pairing picks the generators g_p with
         # C(obs) = (-1)^c * prod_p C(g_p); the outcome follows exactly.
-        factors = [p for p, d in enumerate(t._destabs) if _symplectic(ov, d, n)]
+        factors = [p for p, d in enumerate(t._destabs) if (swapped & d).bit_count() & 1]
         bit = int(obs.sign < 0) ^ pauli.phase_bit(ov, [t._gens[p] for p in factors], n)
         for p in factors:
             bit ^= t._signs[p]
         return bit, MeasurementKind.DETERMINISTIC, t
     bit = random_bit()
-    post = _collapse(t, ov, bit ^ int(obs.sign < 0), anticommuting)
+    post = _collapse(t, ov, swapped, bit ^ int(obs.sign < 0), anticommuting)
     return bit, MeasurementKind.RANDOM, post
 
 
@@ -452,7 +454,8 @@ def _draw_and_restrict(basis: List[int], n: int, rng) -> Tuple[int, bool]:
     for bit, b in zip(rng.integers(0, 2, size=len(basis)), basis):
         if bit:
             v ^= b
-    flips = [k for k, b in enumerate(basis) if _symplectic(b, v, n)]
+    swapped = _swap_halves(v, n)
+    flips = [k for k, b in enumerate(basis) if (swapped & b).bit_count() & 1]
     if flips:
         pivot = basis.pop(flips[0])
         for k in flips[1:]:

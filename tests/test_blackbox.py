@@ -1,6 +1,7 @@
 """Boolean-function configs and the parity arithmetic of propositions."""
 import itertools
 
+import numpy as np
 import pytest
 
 from axiombox import blackbox as bb
@@ -26,6 +27,28 @@ class TestBooleanFunction:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BooleanFunction(2, 0)
+
+    @pytest.mark.parametrize("values", [(0.0, 1), (1, 1.0), (0.5, 0), ("1", 0), (None, 0)])
+    def test_rejects_non_integer_values(self, values):
+        with pytest.raises(TypeError):
+            BooleanFunction(*values)
+
+    @pytest.mark.parametrize("label", [1.0, "2", None])
+    def test_from_label_rejects_non_integers(self, label):
+        with pytest.raises(TypeError):
+            BooleanFunction.from_label(label)
+
+    def test_integer_like_values_are_stored_as_int(self):
+        for f in (
+            BooleanFunction(True, False),
+            BooleanFunction(np.int64(1), np.uint8(0)),
+            BooleanFunction.from_label(np.int8(2)),
+            BooleanFunction.from_label(True + True),
+        ):
+            assert (f.f0, f.f1) == (1, 0)
+            assert type(f.f0) is int and type(f.f1) is int
+            assert str(f) == "y2" and f == BooleanFunction(1, 0)
+        assert str(BlackBoxConfig((BooleanFunction(True, True),))) == "y3"
 
 
 class TestBlackBoxConfig:

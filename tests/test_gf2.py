@@ -4,6 +4,7 @@ import itertools
 import operator
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,21 @@ class TestBitVector:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitVector([0, 2, 1])
+
+    @pytest.mark.parametrize(
+        "bits", [[1.7, 0.5, -0.5], [0.5], ["1", "0"], ["1"], [0, "0"], "012", "0 1", [None]]
+    )
+    def test_rejects_entries_before_truncating_them(self, bits):
+        with pytest.raises(ValueError, match="bit entries must be 0 or 1"):
+            BitVector(bits)
+
+    def test_accepts_bools_and_numpy_ints(self):
+        want = BitVector.from_mask(0b101, 3)
+        assert BitVector([True, False, True]) == want
+        assert BitVector(np.array([1, 0, 1], dtype=np.uint8)) == want
+        assert BitVector([np.int64(1), np.int8(0), np.bool_(True)]) == want
+        assert BitVector("101") == want
+        assert type(BitVector([True]).mask) is int
 
     def test_xor_and_length_check(self):
         a = BitVector("1100")
@@ -233,7 +249,6 @@ class TestSymplecticProduct:
 class TestIsotropicBases:
     def test_span_membership_implies_orthogonality(self):
         import numpy as np
-
         from axiombox.stabilizer import random_axioms
 
         rng = np.random.default_rng(2024)

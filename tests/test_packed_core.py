@@ -89,7 +89,7 @@ def next_observable(rng, n, gens, destabs, history):
     return obs.negated() if rng.integers(0, 2) else obs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_packed_core_equals_frozen_engine(n, seed):
     rng = philox_rng(seed, 500 + n)
