@@ -8,7 +8,13 @@ the outcome is definite; otherwise the outcome is uniformly random.  This
 package carries the exact tableau machinery for that correspondence, a dense
 brute-force oracle to check it against, and a seeded Monte-Carlo harness for
 the finite-statistics experiments.
+
+The exact core is integer-only, so ``import axiombox`` loads no numpy: the
+names re-exported from ``experiment`` import it when first read, and
+``oracle``, which is not re-exported, only when it is imported itself.
 """
+import importlib
+
 from .blackbox import (
     BlackBoxConfig,
     BooleanFunction,
@@ -52,19 +58,6 @@ from .stabilizer import (
     random_axioms,
     random_commuting_observables,
 )
-from .experiment import (
-    Decision,
-    NoiseModel,
-    RunRecord,
-    Verdict,
-    classify_record,
-    decay_study,
-    philox_rng,
-    reproduce_q1,
-    reproduce_q2,
-    sample,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -116,3 +109,30 @@ __all__ = [
     "sample",
     "symplectic_product",
 ]
+
+# Names served by ``experiment``, which imports numpy: resolved on first
+# access (PEP 562) and then kept in the module globals.
+_LAZY = frozenset({
+    "Decision",
+    "NoiseModel",
+    "RunRecord",
+    "Verdict",
+    "classify_record",
+    "decay_study",
+    "philox_rng",
+    "reproduce_q1",
+    "reproduce_q2",
+    "sample",
+})
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(".experiment", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _LAZY)

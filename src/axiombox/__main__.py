@@ -1,0 +1,5 @@
+"""``python -m axiombox``: the command-line front end."""
+from .cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

@@ -7,6 +7,10 @@ dense oracle, and run the misclassification decay study.
 
 Exit codes: 0 success, 1 domain error (invalid axioms, size mismatches,
 oracle disagreement), 2 usage error.
+
+``experiment`` and ``oracle`` import numpy, so only the subcommands that use
+them import them, inside the function: ``prepare``, ``blackbox``, ``check``,
+``enumerate`` and ``ghz-demo`` run on the integer core alone.
 """
 from __future__ import annotations
 
@@ -16,9 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import blackbox as bb
-from . import experiment as xp
 from . import logic
-from . import oracle
 from . import pauli
 from . import stabilizer as stab
 
@@ -52,7 +54,9 @@ def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
     return cfg
 
 
-def _noise_from_args(args) -> xp.NoiseModel:
+def _noise_from_args(args):
+    from . import experiment as xp
+
     return xp.NoiseModel(flip_prob=args.noise)
 
 
@@ -88,6 +92,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    from . import experiment as xp
+
     tableau = stab.StabilizerTableau.from_text(Path(args.state).read_text())
     obs = pauli.parse_observable(args.obs)
     result = stab.measure(tableau, obs, rng=xp.philox_rng(args.seed))
@@ -97,6 +103,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import experiment as xp
+
     tableau = stab.StabilizerTableau.from_text(Path(args.state).read_text())
     observables = [pauli.parse_observable(tok) for tok in args.obs.split(",")]
     if 2 ** len(observables) > xp._RUN_CAP:  # the CSV lists every outcome
@@ -153,6 +161,8 @@ def cmd_ghz_demo(args) -> int:
 
 
 def cmd_q1_demo(args) -> int:
+    from . import experiment as xp
+
     cfg = _config_from_args(args, 1)
     rows = xp.reproduce_q1(cfg, args.runs, args.seed, _noise_from_args(args))
     comment = (
@@ -164,6 +174,8 @@ def cmd_q1_demo(args) -> int:
 
 
 def cmd_q2_demo(args) -> int:
+    from . import experiment as xp
+
     cfg = _config_from_args(args, 2)
     rows = xp.reproduce_q2(cfg, args.runs, args.seed, _noise_from_args(args))
     comment = (
@@ -175,6 +187,9 @@ def cmd_q2_demo(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    from . import experiment as xp
+    from . import oracle
+
     if not 1 <= args.n <= oracle.DENSE_CAP:
         raise ValueError(f"--n must lie in [1, {oracle.DENSE_CAP}], got {args.n}")
     if not 1 <= args.trials <= xp._RUN_CAP:
@@ -211,8 +226,20 @@ def cmd_oracle_compare(args) -> int:
     return 0 if agree else 1
 
 
+def _parse_lengths(text: str) -> list:
+    lengths = []
+    for tok in text.split(","):
+        try:
+            lengths.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--lengths entry {tok!r} is not an integer") from None
+    return lengths
+
+
 def cmd_decay_study(args) -> int:
-    lengths = [int(tok) for tok in args.lengths.split(",")]
+    from . import experiment as xp
+
+    lengths = _parse_lengths(args.lengths)
     noise = xp.NoiseModel(flip_prob=args.noise)
     rows = xp.decay_study(noise, lengths, args.trials, args.seed, args.threshold)
     comment = (

@@ -345,3 +345,14 @@ class TestDecayStudy:
         assert code == 1
         assert out == ""
         assert err == "error: indistinguishable regime\n"
+
+
+@pytest.mark.parametrize(
+    "lengths, entry",
+    [("10,,20", "''"), ("", "''"), ("1.5", "'1.5'"), ("10,x", "'x'"), ("10,2 0", "'2 0'")],
+)
+def test_decay_study_names_the_bad_lengths_entry(capsys, lengths, entry):
+    code, out, err = run(capsys, "decay-study", f"--lengths={lengths}", "--trials", "10")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --lengths entry {entry} is not an integer\n"
