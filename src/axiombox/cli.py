@@ -329,6 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops a "--" given as an option's own value ("--trials=--") and
+    # stores an empty list; no option here takes a list, so that is a usage error.
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{dest}: expected one argument")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -356,3 +356,20 @@ def test_decay_study_names_the_bad_lengths_entry(capsys, lengths, entry):
     assert code == 1
     assert out == ""
     assert err == f"error: --lengths entry {entry} is not an integer\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay-study", "--trials=--"],
+        ["enumerate", "--n=--"],
+        ["oracle-compare", "--n", "1", "--trials=--"],
+        ["sample", "--state", "x", "--obs=--"],
+        ["prepare", "--axioms", "x", "--seed=--"],
+    ],
+)
+def test_dash_dash_as_option_value_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument --{argv[-1][2:-3]}: expected one argument" in capsys.readouterr().err
