@@ -12,11 +12,19 @@ its halves swapped (:func:`gf2._swap_halves`, once per measurement), and a
 collapse's sign bits come from one :func:`pauli._pair_phase_bits`.
 
 Tableaus are value-like: measurement returns a fresh post-state instead of
-mutating, so states can be shared.  Signs only XOR, so they may be affine forms
-over free outcomes: one pass of m measurements gives the joint outcome set, a
-reference outcome XOR any combination of r columns.  Joint distributions are
-stored as that affine set: ``probability`` costs O(r*m) bit operations, and
-the 2^r points are listed only when ``outcomes`` or ``support()`` is read.
+mutating, so states can be shared.  A measurement does only the work its
+result is read for: the generator scan stops at the first anticommuting
+generator, which is the collapse pivot, and a :class:`MeasurementResult` from
+:func:`measure` or :func:`measure_forced` runs the collapse on the first read
+of ``post_state``.  Deferring it is safe because tableaus are immutable and
+the outcome bit is drawn at call time, so the random stream is consumed in
+call order whether or not a post-state is ever read.
+
+Signs only XOR, so they may be affine forms over free outcomes: one pass of m
+measurements gives the joint outcome set, a reference outcome XOR any
+combination of r columns.  Joint distributions are stored as that affine
+set: ``probability`` costs O(r*m) bit operations, and the 2^r points are
+listed only when ``outcomes`` or ``support()`` is read.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from . import pauli
+from . import gf2, pauli
 from .blackbox import BlackBoxConfig, axiom_truths
 from .gf2 import (
     BitMatrix,
@@ -35,7 +43,6 @@ from .gf2 import (
     _echelon,
     _pairing_transpose,
     _swap_halves,
-    rank,
 )
 from .pauli import SignedObservable
 
@@ -89,7 +96,7 @@ class StabilizerTableau:
         n, gens = self._n, self._gens
         assert len(gens) == len(self._signs) == len(self._destabs) == n
         assert _commute_pairwise(gens, n), "generators must commute pairwise"
-        assert rank(self.generator_matrix()) == n, "generators must be independent"
+        assert len(gf2._echelon(list(gens))) == n, "generators must be independent"
         for p, d in enumerate(self._destabs):
             swapped = _swap_halves(d, n)
             pairing = [(swapped & g).bit_count() & 1 for g in gens]
@@ -116,11 +123,41 @@ class StabilizerTableau:
         return f"StabilizerTableau({gens})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurementResult:
+    """The outcome, kind and post-state of one measurement.
+
+    A random result of :func:`measure` or :func:`measure_forced` holds the
+    arguments of its :func:`_collapse` in place of the post-state, runs it on
+    the first read of ``post_state`` and keeps the tableau it returns.  The
+    generated ``==``, repr and hash read ``post_state`` like any field.
+    """
+
     outcome: int  # +1 or -1
     kind: MeasurementKind
-    post_state: StabilizerTableau
+    post_state: StabilizerTableau  # the property below
+
+    def __init__(self, outcome: int, kind: MeasurementKind, post_state: StabilizerTableau):
+        self.__dict__.update(
+            outcome=outcome, kind=kind, _post_state=post_state, _collapse_args=()
+        )
+
+    @classmethod
+    def _deferred(
+        cls, t: StabilizerTableau, bit: int, kind: MeasurementKind, collapse: tuple
+    ) -> "MeasurementResult":
+        """The result of :func:`_measure_deferred`'s ``(bit, kind, collapse)``
+        on ``t``; a random one collapses when ``post_state`` is first read."""
+        result = cls(-1 if bit else 1, kind, None if collapse else t)
+        result.__dict__["_collapse_args"] = collapse
+        return result
+
+    @property
+    def post_state(self) -> StabilizerTableau:
+        collapse = self._collapse_args
+        if collapse:
+            self.__dict__.update(_post_state=_collapse(*collapse), _collapse_args=())
+        return self._post_state
 
 
 # _SIGN_BYTES[b]: bit k of byte b as the signed char -1 if set, else +1.
@@ -321,20 +358,17 @@ def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTable
 
 
 def _collapse(
-    t: StabilizerTableau,
-    ov: int,
-    swapped: int,
-    sign: int,
-    anticommuting: Sequence[int],
+    t: StabilizerTableau, ov: int, swapped: int, sign: int, q: int
 ) -> StabilizerTableau:
     """Standard anticommuting-generator replacement with destabilizer upkeep;
-    generator q becomes C(ov) with sign bit ``sign``.  ``swapped`` is
-    ``_swap_halves(ov, n)``; every anticommuting generator p after q takes in
-    g_q, its sign bit from one :func:`pauli._pair_phase_bits` for all of them."""
+    generator q, the first that anticommutes with C(ov), becomes C(ov) with
+    sign bit ``sign``.  ``swapped`` is ``_swap_halves(ov, n)``; every later
+    anticommuting generator p takes in g_q, its sign bit from one
+    :func:`pauli._pair_phase_bits` for all of them."""
     n = t._n
-    q, rest = anticommuting[0], anticommuting[1:]
     gens, signs = list(t._gens), list(t._signs)
     gq, sq = gens[q], signs[q]
+    rest = [p for p in range(q + 1, n) if (swapped & gens[p]).bit_count() & 1]
     for p, c in zip(rest, pauli._pair_phase_bits([gens[p] for p in rest], gq, n)):
         signs[p] ^= sq ^ c
         gens[p] ^= gq
@@ -352,16 +386,22 @@ def measure(
 
     If obs commutes with every generator the outcome is definite and the
     state is unchanged.  Otherwise the outcome is +-1 with probability 1/2
-    each, drawn from ``rng`` (a ``numpy.random.Generator`` or anything with
-    a ``random()`` method); the module never owns a seed.
+    each, drawn now from ``rng`` (a ``numpy.random.Generator`` or anything
+    with a ``random()`` method returning a float in [0, 1), else ValueError);
+    the module never owns a seed.  The generator scan stops at the first
+    anticommuting generator, and the collapse runs on the first read of the
+    result's ``post_state``: ``t`` is immutable and the bit is already drawn,
+    so the post-state and the random stream are the same whenever it is read.
     """
     def draw() -> int:
         if rng is None:
             raise ValueError("random measurement outcome requires an rng")
-        return int(rng.random() >= 0.5)
+        x = rng.random()
+        if not 0.0 <= x < 1.0:  # written so that NaN fails too
+            raise ValueError(f"rng.random() returned {x!r}, not a float in [0, 1)")
+        return int(x >= 0.5)
 
-    bit, kind, post = _measure(t, obs, draw)
-    return MeasurementResult(-1 if bit else 1, kind, post)
+    return MeasurementResult._deferred(t, *_measure_deferred(t, obs, draw))
 
 
 def measure_forced(
@@ -369,37 +409,56 @@ def measure_forced(
 ) -> MeasurementResult:
     """Like :func:`measure` but a random branch takes the given outcome.
 
-    Deterministic measurements ignore ``outcome`` and report their own.
+    Deterministic measurements ignore ``outcome`` and report their own.  As
+    in :func:`measure`, the scan stops at the first anticommuting generator
+    and the collapse runs on the first read of ``post_state``.
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    bit, kind, post = _measure(t, obs, lambda: int(outcome < 0))
-    return MeasurementResult(-1 if bit else 1, kind, post)
+    return MeasurementResult._deferred(
+        t, *_measure_deferred(t, obs, lambda: int(outcome < 0))
+    )
 
 
-def _measure(
+def _measure_deferred(
     t: StabilizerTableau, obs: SignedObservable, random_bit: Callable[[], int]
-) -> Tuple[int, MeasurementKind, StabilizerTableau]:
-    """The one measurement body: ``(outcome bit, kind, post-state)``, a random
-    branch taking its bit from ``random_bit()``.  Only XORs touch the sign
-    bits, so they may be affine forms (see :func:`_outcome_set`)."""
+) -> Tuple[int, MeasurementKind, tuple]:
+    """The one measurement body: ``(outcome bit, kind, collapse)``, a random
+    branch taking its bit from ``random_bit()``.  ``collapse`` is ``()`` for
+    a definite outcome, whose post-state is ``t``, and otherwise the
+    arguments of the :func:`_collapse` that gives the post-state.  Only XORs
+    touch the sign bits, so they may be affine forms (see :func:`_outcome_set`)."""
     n = t._n
     if obs.n_qubits != n:
         raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
     ov = obs.base._mask
     swapped = _swap_halves(ov, n)  # <ov, g> is the parity of swapped & g
-    anticommuting = [p for p, g in enumerate(t._gens) if (swapped & g).bit_count() & 1]
-    if not anticommuting:
+    gens = t._gens
+    for g in gens:
+        if (swapped & g).bit_count() & 1:
+            break  # g is the first anticommuting generator: the outcome is random
+    else:
         # The destabilizer pairing picks the generators g_p with
         # C(obs) = (-1)^c * prod_p C(g_p); the outcome follows exactly.
         factors = [p for p, d in enumerate(t._destabs) if (swapped & d).bit_count() & 1]
-        bit = int(obs.sign < 0) ^ pauli.phase_bit(ov, [t._gens[p] for p in factors], n)
+        bit = int(obs.sign < 0) ^ pauli.phase_bit(ov, [gens[p] for p in factors], n)
         for p in factors:
             bit ^= t._signs[p]
-        return bit, MeasurementKind.DETERMINISTIC, t
+        return bit, MeasurementKind.DETERMINISTIC, ()
     bit = random_bit()
-    post = _collapse(t, ov, swapped, bit ^ int(obs.sign < 0), anticommuting)
-    return bit, MeasurementKind.RANDOM, post
+    # An earlier generator equal to g would have ended the loop, so index()
+    # finds g's own position.
+    collapse = (t, ov, swapped, bit ^ int(obs.sign < 0), gens.index(g))
+    return bit, MeasurementKind.RANDOM, collapse
+
+
+def _measure(
+    t: StabilizerTableau, obs: SignedObservable, random_bit: Callable[[], int]
+) -> Tuple[int, MeasurementKind, StabilizerTableau]:
+    """:func:`_measure_deferred` with its collapse run at once: ``(outcome
+    bit, kind, post-state)``."""
+    bit, kind, collapse = _measure_deferred(t, obs, random_bit)
+    return bit, kind, _collapse(*collapse) if collapse else t
 
 
 def _outcome_set(
