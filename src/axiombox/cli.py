@@ -81,9 +81,8 @@ def cmd_check(args) -> int:
     if not report.dependent:
         _write_output("independent\n", args.out)
         return 0
-    state = stab.prepare(axioms.generator_pairs())
     classical = report.classical_truth
-    quantum = logic.quantum_truth(prop, state)
+    quantum = logic.quantum_truth(prop, axioms._tableau)
     k = ",".join(str(bit) for bit in report.coefficients)
     _write_output(
         f"dependent, k=({k}), classical={classical}, quantum={quantum}\n", args.out

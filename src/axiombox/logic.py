@@ -2,13 +2,14 @@
 
 A proposition is a 2N-bit vector; it is dependent on an axiom set exactly
 when it lies in the GF(2) span of the axiom vectors, which coincides with
-its observable commuting with every encoded generator.  Dependent
-propositions carry two candidate truth values: the classical one (parity
-combination of the axiom truth bits) and the quantum one (read off a
-measurement of the prepared state).  The two can legitimately differ, and
-when they do the witness is the operator-level phase bit of the generator
-product; :func:`ghz_report` packages the canonical three-qubit instance of
-that divergence.
+its observable commuting with every encoded generator.  An
+:class:`AxiomSet` is its prepared tableau, and :func:`stabilizer._scan`
+reads dependence off it.  Dependent propositions carry two candidate truth
+values: the classical one (parity combination of the axiom truth bits) and
+the quantum one (read off a measurement of the prepared state).  The two
+can legitimately differ, and when they do the witness is the operator-level
+phase bit of the generator product; :func:`ghz_report` packages the
+canonical three-qubit instance of that divergence.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from . import blackbox as bb
 from . import pauli
 from . import stabilizer as stab
 from .blackbox import BlackBoxConfig
-from .gf2 import BitMatrix, BitVector, _reduce
+from .gf2 import BitMatrix, BitVector, _pairing_transpose, _swap_halves
 from .pauli import SignedObservable
 from .stabilizer import MeasurementKind, StabilizerTableau
 
@@ -62,50 +63,47 @@ class AxiomSet:
 
     Vectors must be pairwise symplectically orthogonal and GF(2)-independent,
     i.e. they must describe a co-measurable, information-complete axiom
-    system for N qubits.  The independence check (:func:`stabilizer.check_axioms`)
-    is the one elimination of the axiom matrix: :func:`classify`,
-    :func:`classical_truth` and :func:`enumerate_propositions` only reduce
-    against its kept pivots.
+    system for N qubits.  The set's only state is the tableau that
+    :func:`stabilizer.prepare` builds from it, one elimination, with each
+    parity as its generator's sign bit: vectors, parities and the dependence
+    of any proposition are read off that tableau and its destabilizers.
     """
 
-    __slots__ = ("_vectors", "_parities", "_pivots", "_parity_mask")
+    __slots__ = ("_tableau",)
 
     def __init__(self, vectors: Sequence[BitVector], parities: Sequence[int]):
         vectors = tuple(vectors)
         parities = tuple(parities)
         if len(vectors) != len(parities):
             raise ValueError("one parity bit per axiom vector required")
-        if any(b not in (0, 1) for b in parities):  # before int(), which truncates
+        if any(b not in (0, 1) for b in parities):  # before `-1 if b` reads 0.5 as 1
             raise ValueError("parities must be bits")
-        parities = tuple(int(b) for b in parities)
-        self._pivots = stab.check_axioms(vectors, lambda masks, n: masks)
-        self._vectors = vectors
-        self._parities = parities
-        # bit p is axiom p's parity, matching bit p of a _reduce combo
-        self._parity_mask = sum(t << p for p, t in enumerate(parities))
+        signs = [-1 if b else 1 for b in parities]
+        self._tableau = stab.prepare(list(zip(vectors, signs)))
 
     @property
     def vectors(self) -> tuple:
-        return self._vectors
+        t = self._tableau
+        return tuple(BitVector.from_mask(g, 2 * t._n) for g in t._gens)
 
     @property
     def parities(self) -> tuple:
-        return self._parities
+        return self._tableau._signs
 
     @property
     def n_qubits(self) -> int:
-        return len(self._vectors)
+        return self._tableau._n
 
     def matrix(self) -> BitMatrix:
-        return BitMatrix(self._vectors, num_cols=2 * self.n_qubits)
+        return self._tableau.generator_matrix()
 
     def signs(self) -> tuple:
         """Eigenvalue signs (-1)^parity, one per axiom."""
-        return tuple(-1 if b else 1 for b in self._parities)
+        return tuple(-1 if b else 1 for b in self.parities)
 
     def generator_pairs(self) -> list:
         """(vector, sign) pairs ready for :func:`stabilizer.prepare`."""
-        return list(zip(self._vectors, self.signs()))
+        return list(zip(self.vectors, self.signs()))
 
     @classmethod
     def from_observables(cls, observables: Sequence[SignedObservable]) -> "AxiomSet":
@@ -118,13 +116,10 @@ class AxiomSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AxiomSet):
             return NotImplemented
-        return self._vectors == other._vectors and self._parities == other._parities
+        return self._tableau == other._tableau
 
     def __repr__(self) -> str:
-        obs = ", ".join(
-            pauli.format_observable(SignedObservable(pauli.from_proposition(v).base, s))
-            for v, s in self.generator_pairs()
-        )
+        obs = ", ".join(map(pauli.format_observable, self._tableau.generators))
         return f"AxiomSet({obs})"
 
 
@@ -150,37 +145,36 @@ class PropositionCounts(NamedTuple):
     independent: int
 
 
-def _reduce_against(j: Proposition, axioms: AxiomSet) -> tuple:
-    """:func:`gf2._reduce` of the proposition against the axiom pivots."""
-    if len(j.vector) != 2 * axioms.n_qubits:
+def _factors(j: Proposition, axioms: AxiomSet) -> Optional[list]:
+    """The axioms p whose product is J's observable up to sign, read off the
+    destabilizer pairing by :func:`stabilizer._scan`, or None when J's
+    observable anticommutes with an axiom, i.e. J is independent."""
+    t, v = axioms._tableau, j.vector
+    if len(v) != 2 * t._n:
         raise ValueError(
-            f"length mismatch: proposition {len(j.vector)}, "
-            f"axioms expect {2 * axioms.n_qubits}"
+            f"length mismatch: proposition {len(v)}, axioms expect {2 * t._n}"
         )
-    return _reduce(j.vector.mask, axioms._pivots)
+    return stab._scan(t, _swap_halves(v.mask, t._n))[1]
 
 
 def classify(j: Proposition, axioms: AxiomSet) -> DependenceReport:
     """Dependence test: is the proposition vector in the axioms' GF(2) span?"""
-    residue, combo = _reduce_against(j, axioms)
-    if residue:
+    factors = _factors(j, axioms)
+    if factors is None:
         return DependenceReport(dependent=False)
-    coeffs = BitVector.from_mask(combo, axioms.n_qubits)
-    factors = [v.mask for k, v in zip(coeffs, axioms.vectors) if k]
+    t = axioms._tableau
     return DependenceReport(
         dependent=True,
-        coefficients=coeffs,
-        classical_truth=(combo & axioms._parity_mask).bit_count() & 1,
-        phase_bit=pauli.phase_bit(j.vector.mask, factors, axioms.n_qubits),
+        coefficients=BitVector.from_mask(sum(1 << p for p in factors), t._n),
+        classical_truth=stab._sign_bit(t, factors),
+        phase_bit=pauli.phase_bit(j.vector.mask, [t._gens[p] for p in factors], t._n),
     )
 
 
 def classical_truth(j: Proposition, axioms: AxiomSet) -> Optional[int]:
     """Parity combination sum_p k_p * t_p of the axiom truths, or None."""
-    residue, combo = _reduce_against(j, axioms)
-    if residue:
-        return None
-    return (combo & axioms._parity_mask).bit_count() & 1
+    factors = _factors(j, axioms)
+    return None if factors is None else stab._sign_bit(axioms._tableau, factors)
 
 
 def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
@@ -191,36 +185,35 @@ def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
     return 0 if result.outcome == 1 else 1
 
 
-def _half_residues(shift: int, n: int, pivots: list) -> list:
-    """Residues of the 2^n masks ``k << shift`` (entry k), from the n unit
-    vectors' residues by doubling: one XOR per entry."""
-    out = [0]
-    for i in range(n):
-        unit = _reduce(1 << (shift + i), pivots)[0]
-        out += [r ^ unit for r in out]
-    return out
-
-
 def enumerate_propositions(n: int, axioms: AxiomSet) -> PropositionCounts:
     """Count the 4^n proposition vectors that depend on the axioms, by meet
-    in the middle.
+    in the middle on syndromes.
 
-    The residue of :func:`gf2._reduce` is the one vector of ``mask``'s coset
-    of the span that is zero on every pivot column, so it is linear in
-    ``mask``.  Writing a mask as ``hi << n ^ lo``, it is dependent exactly
-    when ``residue(hi << n) == residue(lo)``.  The 2^n residues of each half
-    come from n reductions of its unit vectors and 2^n XORs; tallying the low
-    ones and summing the tallies of the high ones counts each of the 4^n
-    vectors once.  For any valid axiom set the result is (2^n, 4^n - 2^n):
-    the span of n independent vectors has 2^n elements.
+    A mask's syndrome (bit q: its symplectic product with g_q) is linear and
+    is 0 exactly for dependent masks; row j of :func:`gf2._pairing_transpose`
+    is the syndrome of e_j.  So ``hi << n ^ lo`` is dependent exactly when
+    ``hi << n`` and ``lo`` have the same syndrome.  Each half's 2^n syndromes
+    take 2^n XORs of its n rows; tallying the low ones and summing the
+    tallies of the high ones counts each of the 4^n vectors once.  For any
+    valid axiom set the result is (2^n, 4^n - 2^n).
     """
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
     if axioms.n_qubits != n:
         raise ValueError(f"axiom set is for {axioms.n_qubits} qubits, not {n}")
-    tally = Counter(_half_residues(0, n, axioms._pivots))
-    dependent = sum(map(tally.__getitem__, _half_residues(n, n, axioms._pivots)))
+    rows = _pairing_transpose(axioms._tableau._gens, n)
+    tally = Counter(_span(rows[:n]))
+    dependent = sum(map(tally.__getitem__, _span(rows[n:])))
     return PropositionCounts(dependent, 4 ** n - dependent)
+
+
+def _span(rows: Sequence[int]) -> list:
+    """All 2^len(rows) XOR combinations of ``rows``, entry k combining the
+    rows at the set bits of k: one XOR per entry, by doubling."""
+    out = [0]
+    for row in rows:
+        out += [s ^ row for s in out]
+    return out
 
 
 # The canonical three-qubit instance: generators of the shared eigenstate and

@@ -32,7 +32,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import gf2, pauli
 from .blackbox import BlackBoxConfig, axiom_truths
@@ -303,48 +303,36 @@ class OutcomeDistribution:
         return f"OutcomeDistribution({{{body}}})"
 
 
-def check_axioms(vectors: Sequence[BitVector], rows: Callable[[list, int], list]) -> list:
-    """Raise ValueError unless ``vectors`` are N pairwise-commuting,
-    independent 2N-bit vectors; return the :func:`gf2._echelon` pivots of
-    ``rows(masks, N)``, the row masks of a matrix of their rank built from
-    their masks, kept by the caller so that the system is eliminated only
-    once."""
-    if not vectors:
-        raise ValueError("empty axiom list")
-    two_n = len(vectors[0])
-    n = two_n // 2
-    if two_n % 2 or len(vectors) != n:
-        raise ValueError(f"need exactly {n} axioms of length {two_n}, got {len(vectors)}")
-    if any(len(v) != two_n for v in vectors):
-        raise ValueError("axiom vectors have inconsistent lengths")
-    masks = [v.mask for v in vectors]
-    if not _commute_pairwise(masks, n):
-        raise ValueError("axioms not co-measurable")
-    pivots = _echelon(rows(masks, n))
-    if len(pivots) != n:
-        raise ValueError("axioms not independent")
-    return pivots
-
-
 def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
     """Tableau for the joint eigenstate of the given signed axiom observables.
 
     ``axioms`` is a list of (2N-bit vector, sign) pairs: exactly N of them,
-    pairwise symplectically orthogonal and GF(2)-independent.  The one
-    elimination, run by :func:`check_axioms` on the transposed pairing matrix
+    of one length, pairwise symplectically orthogonal and GF(2)-independent
+    (else ValueError).  The one elimination, on the transposed pairing matrix
     (row q of the pairing matrix dotted with d is <d, g_q>) that
-    :func:`gf2._pairing_transpose` builds from the masks, checks independence.
-    At rank N every column is a pivot, so pivot p's fully reduced row is e_p:
-    the destabilizers are the pivots' combinations, <d_p, g_q> = delta_pq.
+    :func:`gf2._pairing_transpose` builds, checks independence.  At rank N
+    every column is a pivot, so pivot p's fully reduced row is e_p: the
+    destabilizers are the pivots' combinations, <d_p, g_q> = delta_pq.
+    A :class:`logic.AxiomSet` is this tableau, read with :func:`_scan`.
     """
-    vectors = [v for v, _ in axioms]
-    signs = [s for _, s in axioms]
-    if any(s not in (1, -1) for s in signs):
+    if not axioms:
+        raise ValueError("empty axiom list")
+    if any(s not in (1, -1) for _, s in axioms):
         raise ValueError("axiom signs must be +1 or -1")
-    pivots = check_axioms(vectors, _pairing_transpose)
-    destabs = [combo for _, _, combo in pivots]
-    bits = [int(s < 0) for s in signs]
-    return StabilizerTableau(len(vectors), [v.mask for v in vectors], bits, destabs)
+    two_n = len(axioms[0][0])
+    if any(len(v) != two_n for v, _ in axioms):
+        raise ValueError("axiom vectors have inconsistent lengths")
+    n = two_n // 2
+    if two_n % 2 or len(axioms) != n:
+        raise ValueError(f"need exactly {n} axioms of length {two_n}, got {len(axioms)}")
+    masks = [v.mask for v, _ in axioms]
+    if not _commute_pairwise(masks, n):
+        raise ValueError("axioms not co-measurable")
+    pivots = _echelon(_pairing_transpose(masks, n))
+    if len(pivots) != n:
+        raise ValueError("axioms not independent")
+    bits = [int(s < 0) for _, s in axioms]
+    return StabilizerTableau(n, masks, bits, [combo for _, _, combo in pivots])
 
 
 def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTableau:
@@ -433,23 +421,33 @@ def _measure_deferred(
         raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
     ov = obs.base._mask
     swapped = _swap_halves(ov, n)  # <ov, g> is the parity of swapped & g
-    gens = t._gens
-    for g in gens:
-        if (swapped & g).bit_count() & 1:
-            break  # g is the first anticommuting generator: the outcome is random
-    else:
-        # The destabilizer pairing picks the generators g_p with
-        # C(obs) = (-1)^c * prod_p C(g_p); the outcome follows exactly.
-        factors = [p for p, d in enumerate(t._destabs) if (swapped & d).bit_count() & 1]
-        bit = int(obs.sign < 0) ^ pauli.phase_bit(ov, [gens[p] for p in factors], n)
-        for p in factors:
-            bit ^= t._signs[p]
-        return bit, MeasurementKind.DETERMINISTIC, ()
+    q, factors = _scan(t, swapped)
+    if q is None:
+        bit = int(obs.sign < 0) ^ pauli.phase_bit(ov, [t._gens[p] for p in factors], n)
+        return bit ^ _sign_bit(t, factors), MeasurementKind.DETERMINISTIC, ()
     bit = random_bit()
-    # An earlier generator equal to g would have ended the loop, so index()
-    # finds g's own position.
-    collapse = (t, ov, swapped, bit ^ int(obs.sign < 0), gens.index(g))
-    return bit, MeasurementKind.RANDOM, collapse
+    return bit, MeasurementKind.RANDOM, (t, ov, swapped, bit ^ int(obs.sign < 0), q)
+
+
+def _scan(t: StabilizerTableau, swapped: int) -> Tuple[Optional[int], Optional[list]]:
+    """``(q, None)``, q the first generator anticommuting with the observable
+    of swapped mask ``swapped`` (random outcome, collapse pivot g_q), else
+    ``(None, factors)``: the destabilizer pairing picks the g_p, p in
+    ``factors`` ascending, with C(obs) = (-1)^c * prod_p C(g_p).  An
+    early-exit loop: ``any()`` over a generator is slower at N=128."""
+    for q, g in enumerate(t._gens):
+        if (swapped & g).bit_count() & 1:
+            return q, None
+    return None, [p for p, d in enumerate(t._destabs) if (swapped & d).bit_count() & 1]
+
+
+def _sign_bit(t: StabilizerTableau, factors: Sequence[int]) -> int:
+    """The sign bit of the product of the generators g_p, p in ``factors``,
+    with no phase: the XOR of their sign bits."""
+    bit = 0
+    for p in factors:
+        bit ^= t._signs[p]
+    return bit
 
 
 def _measure(

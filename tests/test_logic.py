@@ -6,7 +6,7 @@ from axiombox import blackbox as bb
 from axiombox import logic, pauli
 from axiombox import stabilizer as stab
 from axiombox.blackbox import BlackBoxConfig
-from axiombox.gf2 import BitVector, _reduce
+from axiombox.gf2 import BitVector, _echelon, _reduce
 from axiombox.logic import AxiomSet, Proposition
 from axiombox.stabilizer import MeasurementKind
 
@@ -239,10 +239,10 @@ class TestEnumerate:
 
 def frozen_scan(n, axioms):
     """``enumerate_propositions`` as it stood before the meet in the middle:
-    every one of the 4^n masks reduced against the axiom pivots."""
-    dependent = sum(
-        1 for mask in range(4 ** n) if not _reduce(mask, axioms._pivots)[0]
-    )
+    every one of the 4^n masks reduced against the pivots of one elimination
+    of the axiom vectors."""
+    pivots = _echelon([v.mask for v in axioms.vectors])
+    dependent = sum(1 for mask in range(4 ** n) if not _reduce(mask, pivots)[0])
     return (dependent, 4 ** n - dependent)
 
 
