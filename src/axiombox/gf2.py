@@ -219,9 +219,8 @@ def in_span(v: BitVector, basis: BitMatrix) -> Optional[BitVector]:
 
     When the basis rows are linearly independent the coefficient vector is
     unique; otherwise the deterministic echelon form fixes which of the
-    equivalent solutions is returned.  Each call eliminates ``basis`` afresh;
-    callers that test many vectors against one basis keep the pivots of one
-    :func:`_echelon` and :func:`_reduce` against them.
+    equivalent solutions is returned.  Each call eliminates ``basis`` once
+    and reduces ``v`` against the pivot rows.
     """
     if len(v) != basis.num_cols:
         raise ValueError(
@@ -232,6 +231,15 @@ def in_span(v: BitVector, basis: BitMatrix) -> Optional[BitVector]:
     if residue:
         return None
     return BitVector.from_mask(combo, basis.num_rows)
+
+
+def _span(rows: Sequence[int]) -> list:
+    """All 2^len(rows) XOR combinations of ``rows``, entry k combining the
+    rows at the set bits of k: one XOR per entry, by doubling."""
+    out = [0]
+    for row in rows:
+        out += [s ^ row for s in out]
+    return out
 
 
 def symplectic_product(v1: BitVector, v2: BitVector) -> int:

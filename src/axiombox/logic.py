@@ -22,7 +22,7 @@ from . import blackbox as bb
 from . import pauli
 from . import stabilizer as stab
 from .blackbox import BlackBoxConfig
-from .gf2 import BitMatrix, BitVector, _pairing_transpose, _swap_halves
+from .gf2 import BitMatrix, BitVector, _pairing_transpose, _span, _swap_halves
 from .pauli import SignedObservable
 from .stabilizer import MeasurementKind, StabilizerTableau
 
@@ -205,15 +205,6 @@ def enumerate_propositions(n: int, axioms: AxiomSet) -> PropositionCounts:
     tally = Counter(_span(rows[:n]))
     dependent = sum(map(tally.__getitem__, _span(rows[n:])))
     return PropositionCounts(dependent, 4 ** n - dependent)
-
-
-def _span(rows: Sequence[int]) -> list:
-    """All 2^len(rows) XOR combinations of ``rows``, entry k combining the
-    rows at the set bits of k: one XOR per entry, by doubling."""
-    out = [0]
-    for row in rows:
-        out += [s ^ row for s in out]
-    return out
 
 
 # The canonical three-qubit instance: generators of the shared eigenstate and

@@ -14,11 +14,13 @@ collapse's sign bits come from one :func:`pauli._pair_phase_bits`.
 Tableaus are value-like: measurement returns a fresh post-state instead of
 mutating, so states can be shared.  A measurement does only the work its
 result is read for: the generator scan stops at the first anticommuting
-generator, which is the collapse pivot, and a :class:`MeasurementResult` from
-:func:`measure` or :func:`measure_forced` runs the collapse on the first read
-of ``post_state``.  Deferring it is safe because tableaus are immutable and
-the outcome bit is drawn at call time, so the random stream is consumed in
-call order whether or not a post-state is ever read.
+generator, which is the collapse pivot.  A collapse runs only where a
+post-state is read: a :class:`MeasurementResult` from :func:`measure` or
+:func:`measure_forced` runs it on the first read of ``post_state``, and the
+joint pass of :func:`_outcome_set` when another observable follows.
+Deferring it is safe because tableaus are immutable and the outcome bit is
+drawn at call time, so the random stream is consumed in call order whether
+or not a post-state is ever read.
 
 Signs only XOR, so they may be affine forms over free outcomes: one pass of m
 measurements gives the joint outcome set, a reference outcome XOR any
@@ -42,6 +44,7 @@ from .gf2 import (
     _commute_pairwise,
     _echelon,
     _pairing_transpose,
+    _span,
     _swap_halves,
 )
 from .pauli import SignedObservable
@@ -224,9 +227,8 @@ class OutcomeDistribution:
 
     def _expanded(self) -> dict:
         if self._outcomes is None:
-            support = [self._reference]
-            for column in self._pivots.values():
-                support = [s for base in support for s in (base, base ^ column)]
+            columns = list(self._pivots.values())[::-1]  # keeps the listing order
+            support = [self._reference ^ s for s in _span(columns)]
             keys = _sign_tuples(support, self._num_observables)
             self._outcomes = dict.fromkeys(keys, 0.5 ** len(self._pivots))
         return self._outcomes
@@ -450,15 +452,6 @@ def _sign_bit(t: StabilizerTableau, factors: Sequence[int]) -> int:
     return bit
 
 
-def _measure(
-    t: StabilizerTableau, obs: SignedObservable, random_bit: Callable[[], int]
-) -> Tuple[int, MeasurementKind, StabilizerTableau]:
-    """:func:`_measure_deferred` with its collapse run at once: ``(outcome
-    bit, kind, post-state)``."""
-    bit, kind, collapse = _measure_deferred(t, obs, random_bit)
-    return bit, kind, _collapse(*collapse) if collapse else t
-
-
 def _outcome_set(
     t: StabilizerTableau, obs_list: Sequence[SignedObservable]
 ) -> Tuple[int, List[int]]:
@@ -468,7 +461,9 @@ def _outcome_set(
     the fresh variable 2 << i makes every sign and outcome an affine form, bit
     0 its constant and bit i + 1 its coefficient of free outcome i; the
     reference and column i collect bits 0 and i + 1.  A column's lowest set
-    bit is at its own random measurement, its only bit at a random one."""
+    bit is at its own random measurement, its only bit at a random one.  Each
+    observable runs :func:`_measure_deferred`; a random one's collapse runs
+    only when another observable follows to read its post-state."""
     n = t._n
     for obs in obs_list:
         if obs.n_qubits != n:
@@ -477,9 +472,11 @@ def _outcome_set(
         raise ValueError("not co-measurable")
 
     fresh = (2 << i for i in itertools.count()).__next__
-    state, forms = t, []
+    state, forms, collapse = t, [], ()
     for obs in obs_list:
-        form, _, state = _measure(state, obs, fresh)
+        if collapse:
+            state = _collapse(*collapse)
+        form, _, collapse = _measure_deferred(state, obs, fresh)
         forms.append(form)
     r = max([1, *map(int.bit_length, forms)]) - 1  # random outcome i has form 2 << i
     sets = [sum((f >> i & 1) << k for k, f in enumerate(forms)) for i in range(r + 1)]

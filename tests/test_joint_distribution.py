@@ -115,15 +115,20 @@ def test_one_pass_equals_frozen_forced_passes_beyond_53_free_outcomes():
 
 @pytest.mark.parametrize("n,m,seed", [(4, 10, 0), (8, 12, 1), (16, 12, 2), (16, 6, 3)])
 def test_one_pass_of_m_measurements(monkeypatch, n, m, seed):
+    """m measurements, and a collapse after each random one but the last
+    observable, whose post-state nothing reads."""
     state, observables = random_case(n, m, seed)
-    calls, forced = [], []
-    measure = stab._measure
-    monkeypatch.setattr(stab, "_measure", lambda *args: calls.append(1) or measure(*args))
+    _, columns = stab._outcome_set(state, observables)
+    last_random = any(c & -c == 1 << (m - 1) for c in columns)
+    calls, collapses, forced = [], [], []
+    measure, collapse = stab._measure_deferred, stab._collapse
+    monkeypatch.setattr(stab, "_measure_deferred", lambda *args: calls.append(1) or measure(*args))
+    monkeypatch.setattr(stab, "_collapse", lambda *args: collapses.append(1) or collapse(*args))
     monkeypatch.setattr(stab, "measure_forced", lambda *args: forced.append(1))
     dist = stab.joint_distribution(state, observables)
     r = int(math.log2(len(dist.outcomes)))
     assert set(dist.outcomes.values()) == {0.5 ** r}
-    assert (len(calls), len(forced)) == (m, 0)
+    assert (len(calls), len(collapses), len(forced)) == (m, r - last_random, 0)
 
 
 def test_equals_frozen_walk_at_full_rank():

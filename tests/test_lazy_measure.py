@@ -3,7 +3,7 @@ call time and run the collapse on the first read of ``post_state``.
 
 Seeded sequences of both are run on one shared state, their post-states read
 in reverse order, twice, or never.  Every post-state read must equal the one
-the eager ``_measure`` and the frozen per-row-call kernel give, the random
+``eager_measure`` and the frozen per-row-call kernel give, the random
 stream must stand where one draw per random measurement leaves it, and no
 collapse may run before a post-state is read, or twice for one result.
 """
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import pytest
-from test_measure_kernel import SIZES, frozen_measure, next_observable, state_of
+from test_measure_kernel import SIZES, eager_measure, frozen_measure, next_observable, state_of
 
 from axiombox import pauli
 from axiombox import stabilizer as stab
@@ -55,7 +55,7 @@ def test_deferred_post_states_equal_eager_and_frozen(monkeypatch, n, reads):
     expected = []
     for obs, mode in zip(observables, modes):
         random_bit = drawn if mode == 0 else (lambda: int(mode < 0))
-        bit, kind, post = stab._measure(state, obs, random_bit)
+        bit, kind, post = eager_measure(state, obs, random_bit)
         frozen = frozen_measure(state, obs, lambda: bit)
         assert (bit, kind, state_of(post)) == (frozen[0], frozen[1], state_of(frozen[2]))
         expected.append((-1 if bit else 1, kind, post))
