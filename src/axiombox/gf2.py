@@ -7,7 +7,12 @@ exact, with no floating point anywhere.  The one elimination, ``_echelon``,
 works on one int per row, the row's combination of original rows packed
 above its bits, and returns fully reduced pivot rows: each is zero at every
 other pivot column, so a pivot row of a full-rank square system is a unit
-vector and its combination solves for it.
+vector and its combination solves for it.  It is blocked by the "Four
+Russians" method: each row takes in the pivots of a block of up to 8 columns
+with one lookup in the table of their combinations, with the same output as
+eliminating one column at a time.  The transposed pairing matrix that
+``prepare`` eliminates is read from one string of all the masks' bits, one
+strided slice per column.
 
 Symplectic layout convention, shared by every module in this package: a
 vector of even length ``2N`` is split as ``(x-part | z-part)`` with qubit
@@ -173,8 +178,26 @@ def _echelon(rows: Sequence[int]) -> list:
     Row i is worked on as one int ``rows[i] | 1 << (w + i)``, w the rows'
     bit width, so one XOR updates a row and the combination in its high bits.
     Pivots are chosen left-to-right; within a column the first remaining
-    nonzero row wins and every other row is eliminated, so the result (and
-    every coefficient vector derived from it) is deterministic.
+    nonzero row wins, is swapped into place and every other row is
+    eliminated, so the result (and every coefficient vector derived from it)
+    is deterministic.
+
+    The elimination is blocked by the "Four Russians" method (M4RI; Albrecht,
+    Bard & Hart, arXiv:0811.1714).  A block runs from a pivot column over at
+    most k columns, and rows are updated only when it ends.  The pivot search
+    within it stays serial: a candidate's bit at a column is read as it would
+    be after the block's earlier pivots were eliminated (the parity of the
+    row ANDed with one test mask), the first remaining row with the bit set
+    is swapped into place as before, and the block's pivot rows are kept
+    reduced against each other.  When the block ends, every other row XORs
+    in one entry of the table of the 2^k combinations of its pivot rows
+    (:func:`_eliminate_block`), indexed by the row's bits in the block's
+    columns: one lookup in place of k eliminations.  The output is that of
+    the column-by-column loop, because the same rows become pivots with the
+    same swaps, and a fully reduced row is the one row of its coset that is
+    zero at every other pivot column.  k is about log2 of the row count, at
+    most 8 (a 256-entry table); below 32 rows a table saves less than its
+    bookkeeping costs, so k is 1 there and each pivot is eliminated at once.
 
     Returns a list of ``(pivot_col, row_mask, combo_mask)`` in pivot order,
     where ``combo_mask`` names the original rows that XOR to ``row_mask``.
@@ -183,19 +206,66 @@ def _echelon(rows: Sequence[int]) -> list:
     """
     width = max(rows, default=0).bit_length()
     work = [m | 1 << (width + i) for i, m in enumerate(rows)]
+    size = len(work)
+    k = min(8, size.bit_length() - 2)  # columns per block
+    if k < 4:
+        k = 1
     cols = []
+    block = {}  # pivot column -> pivot row, for the open block's pivots
     for col in range(width):
         bit, done = 1 << col, len(cols)
-        hit = next((k for k in range(done, len(work)) if work[k] & bit), None)
-        if hit is None:
-            continue
-        pivot, work[hit] = work[hit], work[done]
-        work = [w ^ pivot if w & bit else w for w in work]
-        work[done] = pivot
-        cols.append(col)
-        if done + 1 == len(work):
-            break
-    return [(col, w & ~(-1 << width), w >> width) for col, w in zip(cols, work)]
+        if not block:
+            for hit in range(done, size):
+                if work[hit] & bit:
+                    break
+            else:
+                continue
+            pivot, work[hit] = work[hit], work[done]
+            cols.append(col)
+            if k == 1:
+                work = [w ^ pivot if w & bit else w for w in work]
+                work[done] = pivot
+                if done + 1 == size:
+                    break
+                continue
+            block[col] = pivot
+            start, done = col, done + 1
+        else:
+            test = bit  # a row's reduced bit at col is the parity of row & test
+            for c, p in block.items():
+                if p & bit:
+                    test |= 1 << c
+            for hit in range(done, size):
+                if (work[hit] & test).bit_count() & 1:
+                    pivot, work[hit] = work[hit], work[done]
+                    for c, p in block.items():
+                        if pivot >> c & 1:
+                            pivot ^= p
+                    for c, p in block.items():
+                        if p & bit:
+                            block[c] = p ^ pivot
+                    block[col] = pivot
+                    cols.append(col)
+                    done += 1
+                    break
+        if col + 1 == start + k or done == size or col + 1 == width:
+            work = _eliminate_block(work, block, start, col + 1)
+            work[done - len(block) : done] = block.values()
+            block = {}
+            if done == size:
+                break
+    low = ~(-1 << width)
+    return [(col, w & low, w >> width) for col, w in zip(cols, work)]
+
+
+def _eliminate_block(work: list, block: dict, lo: int, hi: int) -> list:
+    """``work`` with each row XORed with the ``block`` pivots (column -> fully
+    reduced pivot row) at its set bits in columns lo..hi-1: one lookup in the
+    table of their 2^(hi-lo) combinations, indexed by those bits of the row.
+    Columns of the window without a pivot add a zero row to the table."""
+    table = _span([block.get(c, 0) for c in range(lo, hi)])
+    window = ~(-1 << hi)
+    return [w ^ table[(w & window) >> lo] for w in work]
 
 
 def rank(matrix: BitMatrix) -> int:
@@ -281,8 +351,13 @@ def _commute_pairwise(masks: Sequence[int], n: int) -> bool:
 def _pairing_transpose(masks: Sequence[int], n: int) -> list:
     """The 2n rows of the transposed pairing matrix of 2n-bit (x|z) masks:
     bit q of row j is ``_symplectic(1 << j, masks[q], n)``, bit j of masks[q]
-    with its halves swapped.  Each mask becomes a string of bits, highest
-    first, and ``zip`` reads the strings column by column."""
-    bits = [format(m, f"0{2 * n}b") for m in reversed(masks)]
-    columns = [int("".join(c), 2) for c in zip(*bits)][::-1]  # bit q = bit j of masks[q]
+    with its halves swapped.  The masks are written as one string of bits,
+    each highest bit first and the last mask first, so bit j of every mask
+    is the strided slice ``bits[2n - 1 - j :: 2n]``, read as one int with
+    masks[0] at bit 0.  No masks give 2n zero rows."""
+    if not masks:
+        return [0] * (2 * n)
+    step = 2 * n
+    bits = "".join([format(m, f"0{step}b") for m in reversed(masks)])
+    columns = [int(bits[c::step], 2) for c in range(step - 1, -1, -1)]
     return columns[n:] + columns[:n]

@@ -95,15 +95,20 @@ class StabilizerTableau:
         return BitMatrix([BitVector.from_mask(g, 2 * self._n) for g in self._gens])
 
     def check_invariants(self) -> None:
-        """Raise AssertionError if the tableau structure is broken."""
+        """Raise AssertionError if the tableau structure is broken.  The checks
+        raise explicitly, so they hold under ``python -O`` too."""
         n, gens = self._n, self._gens
-        assert len(gens) == len(self._signs) == len(self._destabs) == n
-        assert _commute_pairwise(gens, n), "generators must commute pairwise"
-        assert len(gf2._echelon(list(gens))) == n, "generators must be independent"
+        if not len(gens) == len(self._signs) == len(self._destabs) == n:
+            raise AssertionError("need n generators, signs and destabilizers")
+        if not _commute_pairwise(gens, n):
+            raise AssertionError("generators must commute pairwise")
+        if len(gf2._echelon(list(gens))) != n:
+            raise AssertionError("generators must be independent")
         for p, d in enumerate(self._destabs):
             swapped = _swap_halves(d, n)
             pairing = [(swapped & g).bit_count() & 1 for g in gens]
-            assert pairing[p] == sum(pairing) == 1, "destabilizer pairing broken"
+            if not pairing[p] == sum(pairing) == 1:
+                raise AssertionError("destabilizer pairing broken")
 
     def to_text(self) -> str:
         """One signed generator per line, e.g. "+ZZI"."""

@@ -232,10 +232,12 @@ class TestSymplecticProduct:
                 vb = BitVector.from_mask(b, 6)
                 assert (va & swap_halves(vb)).parity() == symplectic_product(va, vb)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 33])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 64, 65, 128])
     def test_pairing_transpose_is_the_swapped_transpose(self, n):
         rng = random.Random(n)
         masks = [rng.getrandbits(2 * n) for _ in range(rng.randint(1, 2 * n))]
+        masks[rng.randrange(len(masks))] = 0
+        masks.insert(rng.randint(0, len(masks)), 1 << (2 * n - 1))
         vectors = [BitVector.from_mask(m, 2 * n) for m in masks]
         want = transpose(BitMatrix([swap_halves(v) for v in vectors]))
         assert _pairing_transpose(masks, n) == list(want.row_masks)
@@ -244,6 +246,10 @@ class TestSymplecticProduct:
             assert [row >> q & 1 for q in range(len(masks))] == [
                 symplectic_product(e_j, v) for v in vectors
             ]
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_pairing_transpose_of_no_masks_is_2n_zero_rows(self, n):
+        assert _pairing_transpose([], n) == [0] * (2 * n)
 
 
 class TestIsotropicBases:
@@ -299,13 +305,13 @@ def frozen_reduce(mask, pivots):
     return mask, combo
 
 
-def random_rows(rng):
-    """0-40 rows of width 1-130, sparse or dense, with zero, repeated and
-    XOR-dependent rows mixed in."""
-    width = rng.randint(1, 130)
+def random_rows(rng, max_rows=40, max_width=130):
+    """0-max_rows rows of width 1-max_width, sparse or dense, with zero,
+    repeated and XOR-dependent rows mixed in."""
+    width = rng.randint(1, max_width)
     density = rng.choice([0.02, 0.1, 0.5, 0.9])
     rows = []
-    for _ in range(rng.randint(0, 40)):
+    for _ in range(rng.randint(0, max_rows)):
         kind = rng.random()
         if kind < 0.05:
             rows.append(0)
@@ -351,3 +357,68 @@ def test_destabilizers_match_frozen_reduction(n):
     pivots = frozen_echelon(_pairing_transpose([v.mask for v, _ in axioms], n))
     destabs = [d.mask for d in stab.prepare(axioms).destabilizers]
     assert destabs == [frozen_reduce(1 << p, pivots)[1] for p in range(n)]
+
+
+# Frozen reference: the packed elimination as it stood before it was blocked,
+# one pass over all rows per pivot column.
+def frozen_packed_echelon(rows):
+    width = max(rows, default=0).bit_length()
+    work = [m | 1 << (width + i) for i, m in enumerate(rows)]
+    cols = []
+    for col in range(width):
+        bit, done = 1 << col, len(cols)
+        hit = next((k for k in range(done, len(work)) if work[k] & bit), None)
+        if hit is None:
+            continue
+        pivot, work[hit] = work[hit], work[done]
+        work = [w ^ pivot if w & bit else w for w in work]
+        work[done] = pivot
+        cols.append(col)
+        if done + 1 == len(work):
+            break
+    return [(col, w & ~(-1 << width), w >> width) for col, w in zip(cols, work)]
+
+
+def large_row_lists(chunk):
+    """25 row lists of up to 300 rows and widths up to 300.  About a third
+    have independent rows (distinct lowest set bits), so every row becomes a
+    pivot; the rest come from :func:`random_rows`, with dependent rows."""
+    rng = random.Random(2000 + chunk)
+    for _ in range(25):
+        if rng.random() < 0.3:
+            width = rng.randint(1, 300)
+            lows = rng.sample(range(width), rng.randint(1, width))
+            yield [1 << j | rng.getrandbits(width) >> j + 1 << j + 1 for j in lows]
+        else:
+            yield random_rows(rng, max_rows=300, max_width=300)[1]
+
+
+class TestEchelonMatchesFrozenPacked:
+    """The blocked elimination returns the column-by-column loop's triples."""
+
+    @pytest.mark.parametrize("chunk", range(6))
+    def test_random_row_lists(self, chunk):
+        for rows in large_row_lists(chunk):
+            assert _echelon(rows) == frozen_packed_echelon(rows)
+
+    def test_row_lists_cover_every_block_size(self):
+        """Row counts in every octave up to 256-511 (so every block size the
+        row-count rule picks up to 7; the pairing matrices at n=256 give 8),
+        full-rank lists and rank-deficient ones."""
+        lists = [rows for chunk in range(6) for rows in large_row_lists(chunk)]
+        assert {len(rows).bit_length() for rows in lists} >= set(range(1, 10))
+        ranks = [(len(_echelon(rows)), len(rows)) for rows in lists]
+        assert any(r == size > 0 for r, size in ranks)
+        assert any(r < size for r, size in ranks)
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    def test_pairing_matrices(self, n):
+        axioms = stab.random_axioms(n, philox_rng(n, 2000))
+        rows = _pairing_transpose([v.mask for v, _ in axioms], n)
+        assert _echelon(rows) == frozen_packed_echelon(rows)
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    def test_generator_matrices(self, n):
+        """The N x 2N generator matrix that ``check_invariants`` eliminates."""
+        gens = list(stab.prepare(stab.random_axioms(n, philox_rng(n, 2001)))._gens)
+        assert _echelon(gens) == frozen_packed_echelon(gens)

@@ -8,8 +8,14 @@ deterministic measurements, drawn, forced and with affine sign forms, must
 give the same outcome, kind, generators, signs, destabilizers and draws.
 The sizes straddle the 64-bit word boundaries of both mask halves.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import axiombox
 from axiombox import gf2, pauli
 from axiombox import stabilizer as stab
 from axiombox.experiment import philox_rng
@@ -17,6 +23,7 @@ from axiombox.gf2 import BitVector
 from axiombox.stabilizer import MeasurementKind, StabilizerTableau
 
 SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 17, 63, 64, 65, 128, 256]
+SRC = str(Path(axiombox.__file__).parents[1])
 
 
 def frozen_symplectic(a, b, n):
@@ -223,17 +230,46 @@ def test_measurement_makes_no_per_row_calls(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("n", [2, 5, 64, 65])
-def test_check_invariants_catches_broken_tableaus(n):
+def broken_tableaus(n):
+    """(message, n, gens, signs, destabs) of tableaus that break one invariant."""
     t = stab.prepare(stab.random_axioms(n, philox_rng(n, 74)))
     t.check_invariants()
     g, s, d = list(t._gens), list(t._signs), list(t._destabs)
-    broken = [
-        ("commute pairwise", [g[0], d[0], *g[2:]], d),
-        ("independent", [g[0], g[0], *g[2:]], d),
-        ("pairing", g, [d[0] ^ d[1], *d[1:]]),  # off the diagonal only
-        ("pairing", g, [d[1], d[0], *d[2:]]),
+    return [
+        ("need n generators", n, g[:-1], s, d),
+        ("commute pairwise", n, [g[0], d[0], *g[2:]], s, d),
+        ("independent", n, [g[0], g[0], *g[2:]], s, d),
+        ("pairing", n, g, s, [d[0] ^ d[1], *d[1:]]),  # off the diagonal only
+        ("pairing", n, g, s, [d[1], d[0], *d[2:]]),
     ]
-    for message, gens, destabs in broken:
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 65])
+def test_check_invariants_catches_broken_tableaus(n):
+    for message, *fields in broken_tableaus(n):
         with pytest.raises(AssertionError, match=message):
-            StabilizerTableau(n, gens, s, destabs).check_invariants()
+            StabilizerTableau(*fields).check_invariants()
+
+
+def test_check_invariants_raises_under_optimize():
+    """The checks are explicit raises, not ``assert`` statements that ``-O``
+    strips: every broken tableau still raises in an optimized interpreter."""
+    cases = [case for n in (2, 65) for case in broken_tableaus(n)]
+    code = (
+        "from axiombox.stabilizer import StabilizerTableau\n"
+        "assert False, 'asserts must be off'\n"
+        f"for message, *fields in {cases!r}:\n"
+        "    try:\n"
+        "        StabilizerTableau(*fields).check_invariants()\n"
+        "    except AssertionError as e:\n"
+        "        print(message in str(e))\n"
+        "    else:\n"
+        "        print(False)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"] * len(cases)
