@@ -106,6 +106,19 @@ class DecayRow:
     chernoff_bound: float
 
 
+def _count(value, name: str) -> int:
+    """A run or trial count, taken through ``operator.index`` (so a float
+    raises TypeError instead of failing inside numpy) and checked to lie in
+    [1, _RUN_CAP]."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not 1 <= value <= _RUN_CAP:
+        raise ValueError(f"{name} must lie in [1, {_RUN_CAP}], got {value}")
+    return value
+
+
 def _words(bits: int, width: int) -> np.ndarray:
     """An outcome word as ``width`` uint64 words, least significant first."""
     return np.array([bits >> 64 * j & (1 << 64) - 1 for j in range(width)], np.uint64)
@@ -127,11 +140,11 @@ def sample(
     :func:`stabilizer._outcome_set` (at most 2^53 points), found without listing
     the set; then every outcome bit is flipped with probability ``noise.flip_prob``.
     A run is one row of ceil(m/64) packed uint64 outcome words, built from
-    per-byte tables of column XORs and tallied by sorting the rows:
-    O(runs*(r/8 + m)).
+    per-byte tables of column XORs: O(runs*(r/8 + m)).  ``np.unique`` tallies
+    the rows; only the distinct words are then put in sign-tuple order and
+    turned into tuples.  ``n_runs`` must be an integer in [1, 10^6].
     """
-    if not 1 <= n_runs <= _RUN_CAP:
-        raise ValueError(f"n_runs must lie in [1, {_RUN_CAP}], got {n_runs}")
+    n_runs = _count(n_runs, "n_runs")
     if not observables:
         raise ValueError("at least one observable is required")
     noise = noise or NoiseModel()
@@ -164,20 +177,22 @@ def sample(
         flips[:, :m] = rng.random((n_runs, m)) < noise.flip_prob
         words ^= np.packbits(flips, bitorder="little").view("<u8").reshape(n_runs, width)
 
-    # Sort keys: complemented, and bit-reversed so that entry 0 is the most
-    # significant bit of word 0; keys then sort as the sign tuples do.
-    keys = _REVERSED_BYTES[(~words).astype("<u8").view(np.uint8)].view(">u8")
-    order = np.argsort(keys[:, -1])
-    for j in range(width - 2, -1, -1):  # more significant words, stably
-        order = order[np.argsort(keys[order, j], kind="stable")]
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    tallies = np.diff(np.r_[starts, n_runs])
-    distinct = words[order[starts]]
+    # Tally each distinct word once; numpy has no fast unique of multi-word rows.
+    if width == 1:
+        distinct, tallies = np.unique(words[:, 0], return_counts=True)
+        distinct = distinct[:, None]
+    else:
+        distinct, tallies = np.unique(words, axis=0, return_counts=True)
+    # Sort keys of the distinct words: complemented, and bit-reversed so that
+    # entry 0 is the most significant bit of word 0; keys then sort as the
+    # sign tuples do.
+    keys = _REVERSED_BYTES.take((~distinct).astype("<u8").view(np.uint8)).view(">u8")
+    order = np.lexsort(keys[:, ::-1].T)  # the last key given sorts first
+    distinct = distinct[order]
     outcomes = distinct[:, 0].tolist()
     for j in range(1, width):
         outcomes = [b | w << 64 * j for b, w in zip(outcomes, distinct[:, j].tolist())]
-    counts = dict(zip(stab._sign_tuples(outcomes, m), tallies.tolist()))
+    counts = dict(zip(stab._sign_tuples(outcomes, m), tallies[order].tolist()))
     return RunRecord(
         seed=seed,
         n_runs=n_runs,
@@ -231,8 +246,7 @@ def decay_study(
     if not q < threshold < 0.5 - q:  # written so that a NaN threshold fails too
         raise ValueError("indistinguishable regime")
     dep_margin = 0.5 - q - threshold
-    if not 1 <= trials <= _RUN_CAP:
-        raise ValueError(f"trials must lie in [1, {_RUN_CAP}], got {trials}")
+    trials = _count(trials, "trials")
     rows = []
     for stream_index, length in enumerate(run_lengths):
         length = operator.index(length)  # a float length would be truncated

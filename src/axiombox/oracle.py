@@ -5,13 +5,15 @@ them as a signed permutation of the computational basis, ``P|c> = f_c |c ^ x>``
 with f_c one of +-1, +-i: one application costs O(2^N).  A state costs
 O(N 2^N), its support read off its diagonal stabilizers with no search, and
 a joint distribution of m observables about 2^r m 2^N for r independent
-outcomes, since a branch of its walk stops as soon as its vector is exactly
-zero.  Every product is an exact +-1 or +-i times a double, so a
+outcomes: its walk carries a vector unchanged past every observable it is an
+exact eigenvector of, and builds and halves two branches only where both are
+nonzero.  Every product is an exact +-1 or +-i times a double, so a
 disagreement with the exact tableau path is always a real bug, never
 numerical noise.
 """
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -43,14 +45,21 @@ def _signed_permutation(p: PauliOperator, sign: int = 1) -> tuple:
     n = p.n_qubits
     _check_cap(n)
     x, z = (int(format(v.mask, f"0{n}b")[::-1], 2) for v in (p.x, p.z))
-    c = np.arange(2 ** n)
-    parity = c & z
-    shift = 1
-    while shift < n:  # fold: bit 0 ends up the parity of bits 0 .. 2*shift-1
-        parity ^= parity >> shift
-        shift *= 2
-    factors = np.where(parity & 1, -1, 1) * (sign * _POWERS_OF_I[p.phase])
+    c, parity_signs = _parity_table(n)
+    factors = parity_signs[c & z] * (sign * _POWERS_OF_I[p.phase])
     return c ^ x, factors
+
+
+@functools.lru_cache(maxsize=DENSE_CAP)
+def _parity_table(n: int) -> tuple:
+    """``(c, signs)``: the 2^n basis indices c and signs[c] = (-1)^popcount(c),
+    built once per n and read-only (numpy 1.24 has no ``bitwise_count``)."""
+    signs = np.ones(1, dtype=int)
+    for _ in range(n):
+        signs = np.concatenate([signs, -signs])  # the upper half has one more set bit
+    c = np.arange(2 ** n)
+    c.flags.writeable = signs.flags.writeable = False
+    return c, signs
 
 
 def pauli_term_matrix(p: PauliOperator) -> DenseOperator:
@@ -131,8 +140,13 @@ def distribution(
     """Probability of each sign-vector via projector arithmetic.
 
     P(s) = || prod_i (1 + s_i * Theta_i)/2 |psi> ||^2, walked depth first
-    over the observables.  A branch whose vector is exactly zero stays zero,
-    so the walk cuts it there: only the 2^r outcomes that occur are reached.
+    over the observables, +1 before -1.  At each node the walk forms
+    vec - Theta vec.  If it is exactly zero, vec is a +1 eigenvector, so
+    (vec + Theta vec)/2 equals vec, and vec itself goes on to the next
+    observable.  A zero vec + Theta vec likewise means a -1 eigenvector.  Only
+    when both are nonzero are both halved and walked.  So only the 2^r
+    outcomes that occur are reached, a node costs one signed permutation and
+    one or two sums, and leaves of probability at most 1e-15 are dropped.
     """
     state = np.asarray(state, dtype=complex)
     size = len(state) if state.ndim == 1 else 0
@@ -148,17 +162,25 @@ def distribution(
     outcomes = {}
 
     def walk(vec: np.ndarray, index: int, signs: tuple):
-        if not vec.any():
-            return
-        if index == len(actions):
-            prob = float(np.real(np.vdot(vec, vec)))
-            if prob > 1e-15:
-                outcomes[signs] = prob  # each sign tuple ends one walk path
-            return
-        perm, factors = actions[index]
-        applied = (factors * vec)[perm]  # perm is an XOR, its own inverse
-        walk((vec + applied) * 0.5, index + 1, signs + (1,))
-        walk((vec - applied) * 0.5, index + 1, signs + (-1,))
+        while index < len(actions):
+            perm, factors = actions[index]
+            applied = (factors * vec)[perm]  # perm is an XOR, its own inverse
+            minus = vec - applied
+            if np.count_nonzero(minus):
+                plus = vec + applied
+                if np.count_nonzero(plus):  # both outcomes occur: halve and walk both
+                    plus *= 0.5
+                    minus *= 0.5
+                    walk(plus, index + 1, signs + (1,))
+                    walk(minus, index + 1, signs + (-1,))
+                    return
+                signs += (-1,)  # vec is a -1 eigenvector: (vec - applied) / 2 == vec
+            else:
+                signs += (1,)  # vec is a +1 eigenvector: (vec + applied) / 2 == vec
+            index += 1
+        prob = float(np.real(np.vdot(vec, vec)))
+        if prob > 1e-15:
+            outcomes[signs] = prob  # each sign tuple ends one walk path
 
     walk(state, 0, ())
     return OutcomeDistribution(outcomes, len(obs_list))

@@ -6,8 +6,11 @@ whole outcome distribution: ``support()`` sorted, uniform weights, one
 ``byte_key_sample`` is ``experiment.sample`` as it was before it worked on
 packed outcome words: the affine draw into a bool matrix of -1 entries, int8
 sign and flip matrices, and a count over MSB-first ``np.void`` byte keys.
-Both are kept here only as references: seeded counts (values and key order)
-must be equal, so every random stream is kept.
+``sorted_key_sample`` is ``experiment.sample`` as it was before it tallied each
+distinct outcome word once: the same packed words, then a complemented,
+bit-reversed key per run and stable argsorts of all runs.  All three are kept
+here only as references: seeded counts (values and key order) must be equal,
+so every random stream is kept.
 """
 import numpy as np
 import pytest
@@ -56,6 +59,49 @@ def byte_key_sample(state, observables, n_runs, seed, flip_prob):
     keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
     _, first, tallies = np.unique(keys, return_index=True, return_counts=True)
     return dict(zip(map(tuple, signs[first].tolist()), tallies.tolist()))
+
+
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
+
+
+def outcome_words(bits, width):
+    return np.array([bits >> 64 * j & (1 << 64) - 1 for j in range(width)], np.uint64)
+
+
+def sorted_key_sample(state, observables, n_runs, seed, flip_prob):
+    reference, columns = stab._outcome_set(state, observables)
+    r = len(columns)
+    rng = xp.philox_rng(seed, 0)
+    picks = (rng.random(n_runs) * 2.0 ** r).astype(np.int64)
+    m = len(observables)
+    width = -(-m // 64)
+    pivot_bits = sum(
+        (reference >> ((c & -c).bit_length() - 1) & 1) << (r - 1 - i)
+        for i, c in enumerate(columns)
+    )
+    taken = picks ^ (pivot_bits ^ ((1 << r) - 1))
+    words = np.tile(outcome_words(reference, width), (n_runs, 1))
+    for low in range(0, r, 8):
+        table = np.zeros((256, width), np.uint64)
+        for b in range(min(8, r - low)):
+            table[1 << b : 2 << b] = table[: 1 << b] ^ outcome_words(columns[r - 1 - low - b], width)
+        words ^= table[taken >> low & 255]
+    if flip_prob > 0.0:
+        flips = np.zeros((n_runs, 64 * width), bool)
+        flips[:, :m] = rng.random((n_runs, m)) < flip_prob
+        words ^= np.packbits(flips, bitorder="little").view("<u8").reshape(n_runs, width)
+    keys = _REVERSED_BYTES[(~words).astype("<u8").view(np.uint8)].view(">u8")
+    order = np.argsort(keys[:, -1])
+    for j in range(width - 2, -1, -1):
+        order = order[np.argsort(keys[order, j], kind="stable")]
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    tallies = np.diff(np.r_[starts, n_runs])
+    distinct = words[order[starts]]
+    outcomes = distinct[:, 0].tolist()
+    for j in range(1, width):
+        outcomes = [b | w << 64 * j for b, w in zip(outcomes, distinct[:, j].tolist())]
+    return dict(zip(stab._sign_tuples(outcomes, m), tallies.tolist()))
 
 
 def joint_case(n, m, seed, cap=RANDOM_CAP):
@@ -114,6 +160,34 @@ def test_the_packed_cases_reach_forty_random_outcomes():
         len(stab._outcome_set(*joint_case(72, m, m + cap, cap))[1]) for m, cap in PACKED_CASES
     }
     assert {0, 1, 8, 9, 40} <= ranks
+
+
+# Up to three outcome words per run.
+SORTED_KEY_CASES = PACKED_CASES + [(m, cap) for m in (128, 130) for cap in (0, 9, 40)]
+
+
+@pytest.mark.parametrize("n_runs", [1, 7, 3000])
+@pytest.mark.parametrize("flip_prob", [0.0, 0.05])
+@pytest.mark.parametrize("m, cap", SORTED_KEY_CASES)
+def test_sample_matches_the_frozen_sorted_key_sampler(m, cap, flip_prob, n_runs):
+    state, observables = joint_case(72, m, seed=m + cap, cap=cap)
+    seed = 1000 * m + cap
+    record = xp.sample(state, observables, n_runs, seed, noise=NoiseModel(flip_prob))
+    expected = sorted_key_sample(state, observables, n_runs, seed, flip_prob)
+    assert list(record.counts.items()) == list(expected.items())
+
+
+# (m, r) of the joint jobs of perfbench's query_mix workload, on 16 qubits.
+QUERY_MIX_SHAPES = [(6, 3), (6, 6), (10, 5), (8, 8), (12, 12)]
+
+
+@pytest.mark.parametrize("m, r", QUERY_MIX_SHAPES)
+def test_sample_matches_the_frozen_sorted_key_sampler_at_query_mix_shapes(m, r):
+    state, observables = joint_case(16, m, seed=m + r, cap=r)
+    assert len(stab._outcome_set(state, observables)[1]) == r
+    record = xp.sample(state, observables, 10_000, seed=r, noise=NoiseModel(0.05))
+    expected = sorted_key_sample(state, observables, 10_000, r, 0.05)
+    assert list(record.counts.items()) == list(expected.items())
 
 
 def test_sixty_four_observables_with_thirty_two_random_outcomes():

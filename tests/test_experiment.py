@@ -80,6 +80,15 @@ class TestSample:
         with pytest.raises(ValueError):
             xp.sample(z_plus(), [obs("+Z")], 0, seed=1)
 
+    def test_non_integer_runs_rejected(self):
+        with pytest.raises(TypeError, match="^n_runs must be an integer, got 10.0$"):
+            xp.sample(z_plus(), [obs("+Z")], 10.0, seed=1)
+
+    def test_numpy_integer_runs(self):
+        record = xp.sample(z_plus(), [obs("+X")], np.int64(10), seed=1)
+        assert record == xp.sample(z_plus(), [obs("+X")], 10, seed=1)
+        assert type(record.n_runs) is int
+
     def test_noiseless_frequencies_converge(self):
         # KL(empirical || exact) at 1e5 runs for the fixed cases
         cases = [
@@ -196,6 +205,10 @@ class TestDecayStudy:
     def test_non_integer_run_length_rejected(self):
         with pytest.raises(TypeError):
             xp.decay_study(NoiseModel(), [10.5], 10, seed=1)
+
+    def test_non_integer_trials_rejected(self):
+        with pytest.raises(TypeError, match="^trials must be an integer, got 10.0$"):
+            xp.decay_study(NoiseModel(), [10], 10.0, seed=1)
 
     def test_numpy_integer_run_length(self):
         rows = xp.decay_study(NoiseModel(), [np.int64(10)], 10, seed=1)

@@ -7,6 +7,8 @@ product, the projector a chain of dense matmuls and each walk node a dense
 mat-vec.  ``projector_state_from_axioms`` and ``unpruned_distribution`` are the
 signed-permutation oracle before it scanned single basis vectors and cut zero
 branches: the whole projector built column by column, every walk leaf visited.
+``pruned_distribution`` is the walk before it carried eigenvectors: both
+branches built and halved at every node, and a zero branch cut on entry.
 Every product in any version is an exact +-1 or +-i times a dyadic value (or
 an exactly rounded sum of two terms), so states and outcomes must be
 bit-identical, not merely close.
@@ -22,7 +24,7 @@ import axiombox
 from axiombox import cli, oracle, pauli
 from axiombox import stabilizer as stab
 from axiombox.experiment import philox_rng
-from axiombox.gf2 import BitVector
+from axiombox.gf2 import BitVector, symplectic_product
 from axiombox.pauli import PauliOperator
 
 _SINGLE = {
@@ -124,6 +126,40 @@ def unpruned_distribution(state, obs_list):
     return outcomes
 
 
+def pruned_distribution(state, obs_list):
+    actions = [loop_signed_permutation(o.base, o.sign) for o in obs_list]
+    outcomes = {}
+
+    def walk(vec, index, signs):
+        if not vec.any():
+            return
+        if index == len(actions):
+            prob = float(np.real(np.vdot(vec, vec)))
+            if prob > 1e-15:
+                outcomes[signs] = prob
+            return
+        perm, factors = actions[index]
+        applied = (factors * vec)[perm]
+        walk((vec + applied) * 0.5, index + 1, signs + (1,))
+        walk((vec - applied) * 0.5, index + 1, signs + (-1,))
+
+    walk(np.asarray(state, dtype=complex), 0, ())
+    return outcomes
+
+
+def signed_products(axioms, count, rng):
+    """Random products of the axioms, each with a random sign: all definite."""
+    n = len(axioms)
+    observables = []
+    for _ in range(count):
+        mask = 0
+        for (vector, _), bit in zip(axioms, rng.integers(0, 2, size=n)):
+            mask ^= vector.mask * int(bit)
+        obs = pauli.from_proposition(BitVector.from_mask(mask, 2 * n))
+        observables.append(obs.negated() if rng.random() < 0.5 else obs)
+    return observables
+
+
 def random_case(n, m, seed):
     """Signed axioms and m commuting observables: random ones with products of
     earlier ones and negations mixed in, or (every third seed) random signed
@@ -131,14 +167,7 @@ def random_case(n, m, seed):
     rng = philox_rng(seed, 1000 * n + m)
     axioms = stab.random_axioms(n, rng)
     if seed % 3 == 2:
-        observables = []
-        for _ in range(m):
-            mask = 0
-            for (vector, _), bit in zip(axioms, rng.integers(0, 2, size=n)):
-                mask ^= vector.mask * int(bit)
-            obs = pauli.from_proposition(BitVector.from_mask(mask, 2 * n))
-            observables.append(obs.negated() if rng.random() < 0.5 else obs)
-        return axioms, observables
+        return axioms, signed_products(axioms, m, rng)
     observables = stab.random_commuting_observables(n, m, rng)
     for i in range(2, m):
         if rng.random() < 0.3:
@@ -178,6 +207,86 @@ def test_equals_frozen_projector_oracle(n, m, seed):
     assert np.array_equal(state, frozen)
     got = oracle.distribution(state, observables).outcomes
     assert list(got.items()) == list(unpruned_distribution(frozen, observables).items())
+
+
+@pytest.mark.parametrize("n,m,seed", CASES)
+def test_equals_frozen_pruned_walk(n, m, seed):
+    axioms, observables = random_case(n, m, seed)
+    state = oracle.state_from_axioms(axioms)
+    got = oracle.distribution(state, observables).outcomes
+    assert list(got.items()) == list(pruned_distribution(state, observables).items())
+
+
+def shortcut_case(kind, n, rng):
+    """A state and observables that take each step of the walk: an observable
+    then its negation (a -1 eigenvector after a +1 branch, and the reverse),
+    +-identity among random observables, only definite outcomes (a single
+    path), or only random ones (every node branches)."""
+    axioms = stab.random_axioms(n, rng)
+    if kind == "negation":
+        observables = [
+            o for p in stab.random_commuting_observables(n, n, rng) for o in (p, p.negated())
+        ]
+    elif kind == "identity":
+        plus, minus = pauli.SignedObservable.identity(n), pauli.SignedObservable.identity(n, -1)
+        observables = [plus, *stab.random_commuting_observables(n, n, rng), minus, plus]
+    elif kind == "definite":
+        observables = signed_products(axioms, n + 2, rng)
+    else:
+        # The destabilizers, made to commute by adding axioms: d_p still
+        # anticommutes with axiom p alone, so each one's outcome is random.
+        destabilizers = list(stab.prepare(axioms).destabilizers)
+        for p in range(n):
+            for q in range(p):
+                if symplectic_product(destabilizers[p], destabilizers[q]):
+                    destabilizers[p] ^= axioms[q][0]
+        observables = [pauli.from_proposition(d) for d in destabilizers]
+    return oracle.state_from_axioms(axioms), observables
+
+
+SHORTCUT_KINDS = ("negation", "identity", "definite", "random")
+
+
+@pytest.mark.parametrize("kind", SHORTCUT_KINDS)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_eigenvector_shortcuts_equal_frozen_pruned_walk(n, kind):
+    rng = philox_rng(n, 3000 + SHORTCUT_KINDS.index(kind))
+    for _ in range(3):
+        state, observables = shortcut_case(kind, n, rng)
+        got = oracle.distribution(state, observables).outcomes
+        assert list(got.items()) == list(pruned_distribution(state, observables).items())
+        if kind == "negation":
+            assert all(s[k] == -s[k + 1] for s in got for k in range(0, len(s), 2))
+        elif kind == "definite":
+            assert len(got) == 1
+        elif kind == "random":
+            assert len(got) == 2 ** n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_leaves_of_probability_at_most_1e_15_are_dropped(n):
+    """A state with definite outcomes plus 2^-30 |0>: it is no longer an exact
+    eigenvector, so the walk branches, and the leaves off the definite path
+    hold about 2^-60, below the 1e-15 filter: only the definite one is kept."""
+    state, observables = shortcut_case("definite", n, philox_rng(n, 4000))
+    state[0] += 2.0 ** -30
+    state /= np.linalg.norm(state)
+    got = oracle.distribution(state, observables).outcomes
+    assert list(got.items()) == list(pruned_distribution(state, observables).items())
+    assert len(got) == 1
+
+
+@pytest.mark.parametrize("n", range(1, oracle.DENSE_CAP + 1))
+def test_signed_permutation_equals_the_bitwise_loop(n):
+    rng = philox_rng(n, 5000)
+    for _ in range(20):
+        mask = int(rng.integers(0, 1 << 2 * n))
+        phase, sign = int(rng.integers(0, 4)), int(rng.choice([1, -1]))
+        p = PauliOperator.from_vector(BitVector.from_mask(mask, 2 * n), phase)
+        perm, factors = oracle._signed_permutation(p, sign)
+        want_perm, want_factors = loop_signed_permutation(p, sign)
+        assert np.array_equal(perm, want_perm)
+        assert np.array_equal(factors, want_factors)
 
 
 def minus_z(n):
