@@ -119,7 +119,13 @@ def proposition_truth(j: BitVector, cfg: BlackBoxConfig) -> int:
         raise ValueError(
             f"proposition vector length {len(j)} does not match {cfg.n} functions"
         )
-    return ((j.mask >> cfg.n & cfg._f0) ^ (j.mask & cfg._f1)).bit_count() & 1
+    return _parity(j.mask, cfg)
+
+
+def _parity(mask: int, cfg: BlackBoxConfig) -> int:
+    """:func:`proposition_truth` of the 2n-bit (x|z) mask ``mask``, unchecked;
+    ``stabilizer.apply_blackbox`` reads its generators' sign flips from it."""
+    return ((mask >> cfg.n & cfg._f0) ^ (mask & cfg._f1)).bit_count() & 1
 
 
 def axiom_truths(axioms: Sequence[BitVector], cfg: BlackBoxConfig) -> list:

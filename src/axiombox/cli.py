@@ -43,6 +43,8 @@ def _load_axiom_observables(path: str) -> list:
 
 
 def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
+    if args.config is not None and args.labels is not None:
+        raise ValueError(f"{args.command} takes --config or --labels, not both")
     if args.config is not None:
         cfg = _load_config(args.config)
     elif args.labels is not None:
@@ -82,7 +84,7 @@ def cmd_check(args) -> int:
         _write_output("independent\n", args.out)
         return 0
     classical = report.classical_truth
-    quantum = logic.quantum_truth(prop, axioms._tableau)
+    quantum = logic.quantum_truth(prop, axioms)
     k = ",".join(str(bit) for bit in report.coefficients)
     _write_output(
         f"dependent, k=({k}), classical={classical}, quantum={quantum}\n", args.out
@@ -125,9 +127,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.axioms and args.n is not None:
+    if args.axioms is not None and args.n is not None:
         raise ValueError("enumerate takes --n or --axioms, not both")
-    if args.axioms:
+    if args.axioms is not None:
         axioms = logic.AxiomSet.from_observables(_load_axiom_observables(args.axioms))
         n = axioms.n_qubits
     else:
@@ -214,9 +216,7 @@ def cmd_oracle_compare(args) -> int:
     if not agree:
         # Name the worst trial (counted from 0) so that it can be replayed.
         trial, axioms, observables = worst_trial
-        signed = [
-            pauli.SignedObservable(pauli.from_proposition(v).base, s) for v, s in axioms
-        ]
+        signed = [pauli._observable(v.mask, args.n, s) for v, s in axioms]
         text += (
             f"worst_trial: {trial}\naxioms: {','.join(map(str, signed))}\n"
             f"observables: {','.join(map(str, observables))}\n"

@@ -274,11 +274,13 @@ def decay_study(
     return rows
 
 
-# Demo grids.  Single-qubit inputs/bases are the three Pauli eigenbases; the
-# two-qubit demo measures the shared eigenbasis of ZZ and XX (the entangled
-# one), the local z basis, and the mixed z/x product basis.
-Q1_STATES = (("z+", "Z"), ("x+", "X"), ("y+", "Y"))
-Q1_BASES = (("z", "Z"), ("x", "X"), ("y", "Y"))
+# Demo grids: a state is (label, axiom letters), each axiom signed +1, and a
+# basis is (label, observable letters).  Single-qubit inputs/bases are the three
+# Pauli eigenbases; the two-qubit demo measures the shared eigenbasis of ZZ and
+# XX (the entangled one), the local z basis, and the mixed z/x product basis.
+Q1_STATES = (("z+", ("Z",)), ("x+", ("X",)), ("y+", ("Y",)))
+Q1_BASES = (("z", ("Z",)), ("x", ("X",)), ("y", ("Y",)))
+Q2_STATES = (("phi+", ("ZZ", "XX")),)
 Q2_BASES = (
     ("b_E", ("ZZ", "XX")),
     ("b_F", ("ZI", "IZ")),
@@ -308,6 +310,28 @@ def record_rows(
     return rows
 
 
+def _grid(states, bases, cfg: BlackBoxConfig, n_runs: int, seed: int, noise) -> list:
+    """Every cell of a demo grid, state by state: the evolved state i is
+    sampled in basis k from substream ``len(bases) * i + k``."""
+    rows: List[FrequencyRow] = []
+    for i, (state_label, axiom_letters) in enumerate(states):
+        prepared = stab.prepare([(pauli.parse_observable(s).vector, 1) for s in axiom_letters])
+        evolved = stab.apply_blackbox(prepared, cfg)
+        for k, (basis_label, letters) in enumerate(bases):
+            record = sample(
+                evolved,
+                [pauli.parse_observable(s) for s in letters],
+                n_runs,
+                seed,
+                noise,
+                substream=len(bases) * i + k,
+                config=cfg,
+                axioms=tuple("+" + s for s in axiom_letters),
+            )
+            rows.extend(record_rows(state_label, basis_label, record, len(letters)))
+    return rows
+
+
 def reproduce_q1(
     cfg: BlackBoxConfig,
     n_runs: int,
@@ -318,23 +342,7 @@ def reproduce_q1(
     Pauli bases after the black box.  Exactly the diagonal cells are definite."""
     if cfg.n != 1:
         raise ValueError(f"q1 demo needs a single-function config, got {cfg.n}")
-    rows: List[FrequencyRow] = []
-    for i, (state_label, state_letter) in enumerate(Q1_STATES):
-        prepared = stab.prepare([(pauli.parse_observable(state_letter).vector, 1)])
-        evolved = stab.apply_blackbox(prepared, cfg)
-        for k, (basis_label, basis_letter) in enumerate(Q1_BASES):
-            record = sample(
-                evolved,
-                [pauli.parse_observable(basis_letter)],
-                n_runs,
-                seed,
-                noise,
-                substream=3 * i + k,
-                config=cfg,
-                axioms=(f"+{state_letter}",),
-            )
-            rows.extend(record_rows(state_label, basis_label, record, 1))
-    return rows
+    return _grid(Q1_STATES, Q1_BASES, cfg, n_runs, seed, noise)
 
 
 def reproduce_q2(
@@ -348,27 +356,7 @@ def reproduce_q2(
     mixed z/x basis (all four outcomes uniform)."""
     if cfg.n != 2:
         raise ValueError(f"q2 demo needs a two-function config, got {cfg.n}")
-    prepared = stab.prepare(
-        [
-            (pauli.parse_observable("ZZ").vector, 1),
-            (pauli.parse_observable("XX").vector, 1),
-        ]
-    )
-    evolved = stab.apply_blackbox(prepared, cfg)
-    rows: List[FrequencyRow] = []
-    for k, (basis_label, letters) in enumerate(Q2_BASES):
-        record = sample(
-            evolved,
-            [pauli.parse_observable(s) for s in letters],
-            n_runs,
-            seed,
-            noise,
-            substream=k,
-            config=cfg,
-            axioms=("+ZZ", "+XX"),
-        )
-        rows.extend(record_rows("phi+", basis_label, record, 2))
-    return rows
+    return _grid(Q2_STATES, Q2_BASES, cfg, n_runs, seed, noise)
 
 
 def render_frequency_csv(rows: Sequence[FrequencyRow], comment: str) -> str:

@@ -3,13 +3,15 @@
 A proposition is a 2N-bit vector; it is dependent on an axiom set exactly
 when it lies in the GF(2) span of the axiom vectors, which coincides with
 its observable commuting with every encoded generator.  An
-:class:`AxiomSet` is its prepared tableau, and :func:`stabilizer._scan`
-reads dependence off it.  Dependent propositions carry two candidate truth
-values: the classical one (parity combination of the axiom truth bits) and
-the quantum one (read off a measurement of the prepared state).  The two
-can legitimately differ, and when they do the witness is the operator-level
-phase bit of the generator product; :func:`ghz_report` packages the
-canonical three-qubit instance of that divergence.
+:class:`AxiomSet` is the :class:`stabilizer.StabilizerTableau` that
+:func:`stabilizer.prepare` builds from its axioms, and the functions here
+read dependence off any prepared tableau with :func:`stabilizer._scan`.
+Dependent propositions carry two candidate truth values: the classical one
+(parity combination of the axiom truth bits) and the quantum one (read off
+a measurement of the prepared state).  The two can legitimately differ,
+and when they do the witness is the operator-level phase bit of the
+generator product; :func:`ghz_report` packages the canonical three-qubit
+instance of that divergence.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from . import blackbox as bb
 from . import pauli
 from . import stabilizer as stab
 from .blackbox import BlackBoxConfig
-from .gf2 import BitMatrix, BitVector, _pairing_transpose, _span, _swap_halves
+from .gf2 import BitVector, _pairing_transpose, _span, _swap_halves
 from .pauli import SignedObservable
 from .stabilizer import MeasurementKind, StabilizerTableau
 
@@ -58,18 +60,19 @@ class Proposition:
         return pauli.format_observable(self.observable())[1:]
 
 
-class AxiomSet:
+class AxiomSet(StabilizerTableau):
     """N axiom vectors with their truth parities (1 encodes an "= 1" axiom).
 
     Vectors must be pairwise symplectically orthogonal and GF(2)-independent,
     i.e. they must describe a co-measurable, information-complete axiom
-    system for N qubits.  The set's only state is the tableau that
+    system for N qubits.  The set is the tableau that
     :func:`stabilizer.prepare` builds from it, one elimination, with each
     parity as its generator's sign bit: vectors, parities and the dependence
-    of any proposition are read off that tableau and its destabilizers.
+    of any proposition are read off its generators and destabilizers, and
+    it equals any tableau with the same fields.
     """
 
-    __slots__ = ("_tableau",)
+    __slots__ = ()
 
     def __init__(self, vectors: Sequence[BitVector], parities: Sequence[int]):
         vectors = tuple(vectors)
@@ -78,24 +81,18 @@ class AxiomSet:
             raise ValueError("one parity bit per axiom vector required")
         if any(b not in (0, 1) for b in parities):  # before `-1 if b` reads 0.5 as 1
             raise ValueError("parities must be bits")
-        signs = [-1 if b else 1 for b in parities]
-        self._tableau = stab.prepare(list(zip(vectors, signs)))
+        t = stab.prepare([(v, -1 if b else 1) for v, b in zip(vectors, parities)])
+        super().__init__(t._n, t._gens, t._signs, t._destabs)
 
     @property
     def vectors(self) -> tuple:
-        t = self._tableau
-        return tuple(BitVector.from_mask(g, 2 * t._n) for g in t._gens)
+        return tuple(BitVector.from_mask(g, 2 * self._n) for g in self._gens)
 
     @property
     def parities(self) -> tuple:
-        return self._tableau._signs
+        return self._signs
 
-    @property
-    def n_qubits(self) -> int:
-        return self._tableau._n
-
-    def matrix(self) -> BitMatrix:
-        return self._tableau.generator_matrix()
+    matrix = StabilizerTableau.generator_matrix
 
     def signs(self) -> tuple:
         """Eigenvalue signs (-1)^parity, one per axiom."""
@@ -112,15 +109,6 @@ class AxiomSet:
             [o.vector for o in observables],
             [0 if o.sign == 1 else 1 for o in observables],
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AxiomSet):
-            return NotImplemented
-        return self._tableau == other._tableau
-
-    def __repr__(self) -> str:
-        obs = ", ".join(map(pauli.format_observable, self._tableau.generators))
-        return f"AxiomSet({obs})"
 
 
 @dataclass(frozen=True)
@@ -145,47 +133,48 @@ class PropositionCounts(NamedTuple):
     independent: int
 
 
-def _factors(j: Proposition, axioms: AxiomSet) -> Optional[list]:
+def _factors(j: Proposition, axioms: StabilizerTableau) -> Optional[list]:
     """The axioms p whose product is J's observable up to sign, read off the
     destabilizer pairing by :func:`stabilizer._scan`, or None when J's
     observable anticommutes with an axiom, i.e. J is independent."""
-    t, v = axioms._tableau, j.vector
-    if len(v) != 2 * t._n:
-        raise ValueError(
-            f"length mismatch: proposition {len(v)}, axioms expect {2 * t._n}"
-        )
-    return stab._scan(t, _swap_halves(v.mask, t._n))[1]
+    n, v = axioms._n, j.vector
+    if len(v) != 2 * n:
+        raise ValueError(f"length mismatch: proposition {len(v)}, axioms expect {2 * n}")
+    return stab._scan(axioms, _swap_halves(v.mask, n))[1]
 
 
-def classify(j: Proposition, axioms: AxiomSet) -> DependenceReport:
-    """Dependence test: is the proposition vector in the axioms' GF(2) span?"""
+def classify(j: Proposition, axioms: StabilizerTableau) -> DependenceReport:
+    """Dependence test: is the proposition vector in the axioms' GF(2) span?
+    ``axioms`` is an :class:`AxiomSet` or any prepared tableau, whose
+    generators are the axioms and whose sign bits are their parities."""
     factors = _factors(j, axioms)
     if factors is None:
         return DependenceReport(dependent=False)
-    t = axioms._tableau
+    n, gens = axioms._n, axioms._gens
     return DependenceReport(
         dependent=True,
-        coefficients=BitVector.from_mask(sum(1 << p for p in factors), t._n),
-        classical_truth=stab._sign_bit(t, factors),
-        phase_bit=pauli.phase_bit(j.vector.mask, [t._gens[p] for p in factors], t._n),
+        coefficients=BitVector.from_mask(sum(1 << p for p in factors), n),
+        classical_truth=stab._sign_bit(axioms, factors),
+        phase_bit=pauli.phase_bit(j.vector.mask, [gens[p] for p in factors], n),
     )
 
 
-def classical_truth(j: Proposition, axioms: AxiomSet) -> Optional[int]:
+def classical_truth(j: Proposition, axioms: StabilizerTableau) -> Optional[int]:
     """Parity combination sum_p k_p * t_p of the axiom truths, or None."""
     factors = _factors(j, axioms)
-    return None if factors is None else stab._sign_bit(axioms._tableau, factors)
+    return None if factors is None else stab._sign_bit(axioms, factors)
 
 
 def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
-    """Truth bit b from a definite measurement outcome (-1)^b, or None."""
+    """Truth bit b from a definite measurement outcome (-1)^b, or None.
+    ``state`` is any prepared tableau, an :class:`AxiomSet` included."""
     result = stab.measure_forced(state, j.observable(), 1)
     if result.kind is not MeasurementKind.DETERMINISTIC:
         return None
     return 0 if result.outcome == 1 else 1
 
 
-def enumerate_propositions(n: int, axioms: AxiomSet) -> PropositionCounts:
+def enumerate_propositions(n: int, axioms: StabilizerTableau) -> PropositionCounts:
     """Count the 4^n proposition vectors that depend on the axioms, by meet
     in the middle on syndromes.
 
@@ -201,7 +190,7 @@ def enumerate_propositions(n: int, axioms: AxiomSet) -> PropositionCounts:
         raise ValueError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
     if axioms.n_qubits != n:
         raise ValueError(f"axiom set is for {axioms.n_qubits} qubits, not {n}")
-    rows = _pairing_transpose(axioms._tableau._gens, n)
+    rows = _pairing_transpose(axioms._gens, n)
     tally = Counter(_span(rows[:n]))
     dependent = sum(map(tally.__getitem__, _span(rows[n:])))
     return PropositionCounts(dependent, 4 ** n - dependent)

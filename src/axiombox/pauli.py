@@ -225,8 +225,14 @@ def from_proposition(j: BitVector) -> SignedObservable:
     """
     if len(j) % 2:
         raise ValueError(f"proposition vector must have even length, got {len(j)}")
-    n = len(j) // 2
-    return SignedObservable(PauliOperator._from_mask(j.mask, n, _canonical_phase(j.mask, n)))
+    return _observable(j.mask, len(j) // 2)
+
+
+def _observable(mask: int, n: int, sign: int = 1) -> SignedObservable:
+    """``sign`` times C(mask), the canonical Hermitian Pauli of a 2n-bit (x|z)
+    mask: the observable :func:`parse_observable`, :func:`from_proposition`
+    and a tableau's ``generators`` build, straight from the mask."""
+    return SignedObservable(PauliOperator._from_mask(mask, n, _canonical_phase(mask, n)), sign)
 
 
 def observable_product(a: SignedObservable, b: SignedObservable) -> SignedObservable:
@@ -265,7 +271,7 @@ def parse_observable(text: str) -> SignedObservable:
     # Letter j is bit j, so the reversed string reads as binary digits.
     n, letters = len(s), s[::-1]
     mask = int(letters.translate(_X_DIGITS), 2) | int(letters.translate(_Z_DIGITS), 2) << n
-    return SignedObservable(PauliOperator._from_mask(mask, n, _canonical_phase(mask, n)), sign)
+    return _observable(mask, n, sign)
 
 
 def _parse_observable_lines(text: str) -> list:

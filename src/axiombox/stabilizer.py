@@ -37,7 +37,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import gf2, pauli
-from .blackbox import BlackBoxConfig, axiom_truths
+from .blackbox import BlackBoxConfig, _parity
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -82,8 +82,8 @@ class StabilizerTableau:
     def generators(self) -> tuple:
         """The signed generators, built from the masks on each read."""
         return tuple(
-            SignedObservable(pauli.from_proposition(v).base, -1 if s else 1)
-            for v, s in zip(self.generator_matrix(), self._signs)
+            pauli._observable(g, self._n, -1 if s else 1)
+            for g, s in zip(self._gens, self._signs)
         )
 
     @property
@@ -127,8 +127,8 @@ class StabilizerTableau:
         )
 
     def __repr__(self) -> str:
-        gens = " ".join(pauli.format_observable(g) for g in self.generators)
-        return f"StabilizerTableau({gens})"
+        gens = ", ".join(map(pauli.format_observable, self.generators))
+        return f"{type(self).__name__}({gens})"
 
 
 @dataclass(frozen=True, init=False)
@@ -344,11 +344,11 @@ def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
 
 def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTableau:
     """Conjugate every generator: the box flips the sign of generator p exactly
-    when its parity bit t_p (:func:`blackbox.axiom_truths`) is 1."""
+    when its parity bit t_p (:func:`blackbox.axiom_truths`) is 1, read off
+    its mask by :func:`blackbox._parity`."""
     if cfg.n != t._n:
         raise ValueError(f"size mismatch: {t._n} qubits vs {cfg.n} functions")
-    truths = axiom_truths([BitVector.from_mask(g, 2 * t._n) for g in t._gens], cfg)
-    signs = [s ^ b for s, b in zip(t._signs, truths)]
+    signs = [s ^ _parity(g, cfg) for g, s in zip(t._gens, t._signs)]
     return StabilizerTableau(t._n, t._gens, signs, t._destabs)
 
 
@@ -557,9 +557,4 @@ def random_commuting_observables(n: int, count: int, rng) -> list:
         raise ValueError(f"need at least one qubit and count >= 0, got {n}, {count}")
     basis = [1 << j for j in range(2 * n)]
     vectors = [_draw_and_restrict(basis, n, rng)[0] for _ in range(count)]
-    return [
-        SignedObservable(
-            pauli.from_proposition(BitVector.from_mask(v, 2 * n)).base, _random_sign(rng)
-        )
-        for v in vectors
-    ]
+    return [pauli._observable(v, n, _random_sign(rng)) for v in vectors]

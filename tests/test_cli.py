@@ -219,6 +219,13 @@ class TestEnumerate:
         assert out == ""
         assert err == "error: enumerate takes --n or --axioms, not both\n"
 
+    def test_empty_axioms_with_n_is_exit_one(self, capsys):
+        # --axioms is checked for presence: an empty value is still given.
+        code, out, err = run(capsys, "enumerate", "--axioms", "", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: enumerate takes --n or --axioms, not both\n"
+
 
 class TestDemos:
     def test_ghz_demo_text(self, capsys):
@@ -258,6 +265,18 @@ class TestDemos:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("demo, labels", [
+        ("ghz-demo", "y1,y2,y3"), ("q1-demo", "y1"), ("q2-demo", "y2,y2"),
+    ])
+    def test_config_and_labels_together_is_exit_one(self, tmp_path, capsys, demo, labels):
+        config = tmp_path / "box.cfg"
+        config.write_text(labels.replace(",", "\n"))
+        code, out, err = run(capsys, demo, "--config", str(config), "--labels", labels,
+                             "--runs", "10")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {demo} takes --config or --labels, not both\n"
 
     @pytest.mark.parametrize("labels", ["yy1", "y+1", "y\u0661", "1", "y1,,y1", "y 1"])
     def test_labels_outside_the_grammar_are_exit_one(self, capsys, labels):

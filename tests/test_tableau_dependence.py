@@ -1,8 +1,8 @@
 """Dependence read off the prepared tableau.
 
-An :class:`AxiomSet` holds only the tableau that ``prepare`` builds from it,
-and ``classify``, ``classical_truth`` and ``enumerate_propositions`` read
-everything off that tableau's generator scan and destabilizer pairing
+An :class:`AxiomSet` is the tableau that ``prepare`` builds from it, and
+``classify``, ``classical_truth`` and ``enumerate_propositions`` read
+everything off a prepared tableau's generator scan and destabilizer pairing
 (``stabilizer._scan``).  These tests pin the results to a frozen copy of the
 earlier reduce-based functions, which eliminated the axiom matrix a second
 time and reduced every proposition against its pivots, and count the
@@ -16,6 +16,7 @@ import pytest
 from axiombox import cli, gf2, logic, pauli
 from axiombox import stabilizer as stab
 from axiombox.gf2 import BitVector, _echelon, _reduce, _swap_halves
+from axiombox.blackbox import BlackBoxConfig
 from axiombox.logic import AxiomSet, DependenceReport, Proposition
 
 GHZ_AXIOM_FILE = "-YYX\n-YXY\n-XYY\n"
@@ -131,6 +132,16 @@ def random_axiom_set(n, rng):
     return AxiomSet([v for v, _ in pairs], rng.integers(0, 2, n))
 
 
+def axiom_set_and_tableau(n, rng):
+    """A random AxiomSet, and the tableau ``prepare`` builds from the same
+    signed pairs, which is also ``prepare(axioms.generator_pairs())``."""
+    pairs = stab.random_axioms(n, rng)
+    axioms = AxiomSet([v for v, _ in pairs], [int(s < 0) for _, s in pairs])
+    t = stab.prepare(pairs)
+    assert t == stab.prepare(axioms.generator_pairs())
+    return axioms, t
+
+
 def one_z_per_qubit(n, parities):
     return AxiomSet(
         [pauli.parse_observable("I" * i + "Z" + "I" * (n - i - 1)).vector for i in range(n)],
@@ -193,7 +204,7 @@ class TestAxiomSetIsItsTableau:
         observables = [pauli.parse_observable(s) for s in ("-YYX", "+YXY", "-XYY")]
         axioms = AxiomSet.from_observables(observables)
         t = stab.prepare([(o.vector, o.sign) for o in observables])
-        assert axioms._tableau == t
+        assert axioms == t
         assert axioms.vectors == tuple(o.vector for o in observables)
         assert axioms.parities == (1, 0, 1)
         assert axioms.n_qubits == 3
@@ -209,6 +220,57 @@ class TestAxiomSetIsItsTableau:
         assert AxiomSet(z, [0, 1]) == AxiomSet(z, [0, 1])
         assert AxiomSet(z, [0, 1]) != AxiomSet(z, [1, 0])
         assert AxiomSet(z, [0, 1]) != AxiomSet(z[::-1], [1, 0])
+
+    def test_is_a_tableau_with_no_slots_of_its_own(self):
+        axioms = AxiomSet.from_observables([pauli.parse_observable(s) for s in ("+ZZ", "-XX")])
+        assert isinstance(axioms, stab.StabilizerTableau)
+        assert AxiomSet.__slots__ == ()
+        assert not hasattr(axioms, "__dict__")
+        assert {"n_qubits", "__eq__", "__repr__"}.isdisjoint(vars(AxiomSet))
+        t = stab.prepare(axioms.generator_pairs())
+        assert t == axioms and axioms == t
+        assert repr(t) == "StabilizerTableau(+ZZ, -XX)"
+        assert repr(axioms) == "AxiomSet(+ZZ, -XX)"
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 32])
+    def test_tableau_operations_agree_with_the_prepared_state(self, n):
+        """measure, measure_forced, apply_blackbox, to_text and
+        check_invariants give the same on the set as on the tableau that
+        ``prepare`` builds from its pairs."""
+        rng = np.random.default_rng(2300 + n)
+        for _ in range(3):
+            axioms, t = axiom_set_and_tableau(n, rng)
+            assert (t._n, t._gens, t._signs, t._destabs) == (
+                axioms._n, axioms._gens, axioms._signs, axioms._destabs
+            )
+            assert axioms.to_text() == t.to_text()
+            assert axioms.check_invariants() is t.check_invariants() is None
+            cfg = BlackBoxConfig.from_labels(rng.integers(0, 4, n))
+            assert stab.apply_blackbox(axioms, cfg) == stab.apply_blackbox(t, cfg)
+            for j in propositions(axioms, rng, count=10):
+                obs = pauli.SignedObservable(j.observable().base, int(rng.choice([1, -1])))
+                seed = int(rng.integers(0, 2 ** 32))
+                got = stab.measure(axioms, obs, np.random.default_rng(seed))
+                want = stab.measure(t, obs, np.random.default_rng(seed))
+                assert got == want
+                for forced in (1, -1):
+                    assert stab.measure_forced(axioms, obs, forced) == stab.measure_forced(
+                        t, obs, forced
+                    )
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_logic_reads_a_plain_prepared_tableau(self, n):
+        """classify, classical_truth, quantum_truth and enumerate_propositions
+        give the same on a plain prepared tableau as on the AxiomSet."""
+        rng = np.random.default_rng(2400 + n)
+        for _ in range(3):
+            axioms, t = axiom_set_and_tableau(n, rng)
+            assert type(t) is stab.StabilizerTableau
+            for j in propositions(axioms, rng):
+                assert logic.classify(j, t) == logic.classify(j, axioms)
+                assert logic.classical_truth(j, t) == logic.classical_truth(j, axioms)
+                assert logic.quantum_truth(j, t) == logic.quantum_truth(j, axioms)
+            assert logic.enumerate_propositions(n, t) == logic.enumerate_propositions(n, axioms)
 
 
 class TestOneElimination:
