@@ -27,6 +27,14 @@ from . import stabilizer as stab
 ORACLE_TOLERANCE = 1e-9
 
 
+def _path(value: str, option: str) -> Path:
+    """The path an option names; an empty value would read as the current
+    directory, so it is a domain error naming the option."""
+    if not value:
+        raise ValueError(f"{option} is an empty path")
+    return Path(value)
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -35,11 +43,11 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def _load_config(path: str) -> bb.BlackBoxConfig:
-    return bb.parse_config(Path(path).read_text())
+    return bb.parse_config(_path(path, "--config").read_text())
 
 
 def _load_axiom_observables(path: str) -> list:
-    return pauli._parse_observable_lines(Path(path).read_text())
+    return pauli._parse_observable_lines(_path(path, "--axioms").read_text())
 
 
 def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
@@ -63,13 +71,13 @@ def _noise_from_args(args):
 
 
 def cmd_prepare(args) -> int:
-    tableau = stab.StabilizerTableau.from_text(Path(args.axioms).read_text())
+    tableau = stab.StabilizerTableau.from_text(_path(args.axioms, "--axioms").read_text())
     _write_output(tableau.to_text(), args.out)
     return 0
 
 
 def cmd_blackbox(args) -> int:
-    tableau = stab.StabilizerTableau.from_text(Path(args.state).read_text())
+    tableau = stab.StabilizerTableau.from_text(_path(args.state, "--state").read_text())
     cfg = _load_config(args.config)
     _write_output(stab.apply_blackbox(tableau, cfg).to_text(), args.out)
     return 0
@@ -95,7 +103,7 @@ def cmd_check(args) -> int:
 def cmd_measure(args) -> int:
     from . import experiment as xp
 
-    tableau = stab.StabilizerTableau.from_text(Path(args.state).read_text())
+    tableau = stab.StabilizerTableau.from_text(_path(args.state, "--state").read_text())
     obs = pauli.parse_observable(args.obs)
     result = stab.measure(tableau, obs, rng=xp.philox_rng(args.seed))
     kind = result.kind.value
@@ -106,7 +114,7 @@ def cmd_measure(args) -> int:
 def cmd_sample(args) -> int:
     from . import experiment as xp
 
-    tableau = stab.StabilizerTableau.from_text(Path(args.state).read_text())
+    tableau = stab.StabilizerTableau.from_text(_path(args.state, "--state").read_text())
     observables = [pauli.parse_observable(tok) for tok in args.obs.split(",")]
     if 2 ** len(observables) > xp._RUN_CAP:  # the CSV lists every outcome
         raise ValueError(
@@ -334,6 +342,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(value, list):
             parser.error(f"argument --{dest}: expected one argument")
     try:
+        if args.out is not None:  # checked before the work, not after it
+            _path(args.out, "--out")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

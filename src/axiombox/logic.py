@@ -7,11 +7,12 @@ its observable commuting with every encoded generator.  An
 :func:`stabilizer.prepare` builds from its axioms, and the functions here
 read dependence off any prepared tableau with :func:`stabilizer._scan`.
 Dependent propositions carry two candidate truth values: the classical one
-(parity combination of the axiom truth bits) and the quantum one (read off
-a measurement of the prepared state).  The two can legitimately differ,
-and when they do the witness is the operator-level phase bit of the
-generator product; :func:`ghz_report` packages the canonical three-qubit
-instance of that divergence.
+(parity combination of the axiom truth bits) and the quantum one (the
+definite outcome of measuring the prepared state), both read off the same
+scan: the generator product's sign bit, and that bit XOR its phase bit.
+The two can legitimately differ, and when they do the witness is that
+operator-level phase bit; :func:`ghz_report` packages the canonical
+three-qubit instance of that divergence.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from . import stabilizer as stab
 from .blackbox import BlackBoxConfig
 from .gf2 import BitVector, _pairing_transpose, _span, _swap_halves
 from .pauli import SignedObservable
-from .stabilizer import MeasurementKind, StabilizerTableau
+from .stabilizer import StabilizerTableau
 
 ENUMERATION_CAP = 16
 
@@ -133,45 +134,48 @@ class PropositionCounts(NamedTuple):
     independent: int
 
 
-def _factors(j: Proposition, axioms: StabilizerTableau) -> Optional[list]:
-    """The axioms p whose product is J's observable up to sign, read off the
-    destabilizer pairing by :func:`stabilizer._scan`, or None when J's
+def _factors(j: Proposition, axioms: StabilizerTableau) -> Optional[tuple]:
+    """``(factors, sign, phase)`` of :func:`stabilizer._scan` when J depends on
+    the axioms: J's observable is (-1)^phase times the product of the axioms
+    p in ``factors``, whose parities XOR to ``sign``.  None when J's
     observable anticommutes with an axiom, i.e. J is independent."""
     n, v = axioms._n, j.vector
     if len(v) != 2 * n:
         raise ValueError(f"length mismatch: proposition {len(v)}, axioms expect {2 * n}")
-    return stab._scan(axioms, _swap_halves(v.mask, n))[1]
+    mask = v.mask
+    return stab._scan(axioms, mask, _swap_halves(mask, n))[1]
 
 
 def classify(j: Proposition, axioms: StabilizerTableau) -> DependenceReport:
     """Dependence test: is the proposition vector in the axioms' GF(2) span?
     ``axioms`` is an :class:`AxiomSet` or any prepared tableau, whose
     generators are the axioms and whose sign bits are their parities."""
-    factors = _factors(j, axioms)
-    if factors is None:
+    definite = _factors(j, axioms)
+    if definite is None:
         return DependenceReport(dependent=False)
-    n, gens = axioms._n, axioms._gens
+    factors, sign, phase = definite
     return DependenceReport(
         dependent=True,
-        coefficients=BitVector.from_mask(sum(1 << p for p in factors), n),
-        classical_truth=stab._sign_bit(axioms, factors),
-        phase_bit=pauli.phase_bit(j.vector.mask, [gens[p] for p in factors], n),
+        coefficients=BitVector.from_mask(sum(1 << p for p in factors), axioms._n),
+        classical_truth=sign,
+        phase_bit=phase,
     )
 
 
 def classical_truth(j: Proposition, axioms: StabilizerTableau) -> Optional[int]:
     """Parity combination sum_p k_p * t_p of the axiom truths, or None."""
-    factors = _factors(j, axioms)
-    return None if factors is None else stab._sign_bit(axioms, factors)
+    definite = _factors(j, axioms)
+    return None if definite is None else definite[1]
 
 
 def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
     """Truth bit b from a definite measurement outcome (-1)^b, or None.
-    ``state`` is any prepared tableau, an :class:`AxiomSet` included."""
-    result = stab.measure_forced(state, j.observable(), 1)
-    if result.kind is not MeasurementKind.DETERMINISTIC:
-        return None
-    return 0 if result.outcome == 1 else 1
+    ``state`` is any prepared tableau, an :class:`AxiomSet` included.  The
+    outcome bit of J's observable (sign +1) is the sign bit XOR the phase bit
+    of its generator product, so both are read off :func:`stabilizer._scan`
+    directly, as :func:`stabilizer.measure_forced` reads them."""
+    definite = _factors(j, state)
+    return None if definite is None else definite[1] ^ definite[2]
 
 
 def enumerate_propositions(n: int, axioms: StabilizerTableau) -> PropositionCounts:

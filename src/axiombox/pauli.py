@@ -113,21 +113,10 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator._from_mask(p._mask ^ q._mask, n, p._phase + q._phase + 2 * swaps)
 
 
-def phase_bit(target: int, factors: list, n: int) -> int:
-    """The bit c with ``C(target) = (-1)^c * prod C(factors)``, for commuting 2n-bit
-    (x|z) masks that XOR to target; C(v) is :func:`from_proposition`'s Pauli."""
-    v = e = 0  # the running product i^e * sx^x * sz^z with (x|z) = v, as in multiply
-    for f in factors:
-        e += (f & f >> n).bit_count() + 2 * (v >> n & f).bit_count()
-        v ^= f
-    if v != target:  # the rank-N invariant broke
-        raise AssertionError("observable not in generator span")
-    return ((target & target >> n).bit_count() - e) % 4 // 2
-
-
 def _pair_phase_bits(masks: Sequence[int], b: int, n: int) -> list:
-    """``phase_bit(a ^ b, [a, b], n)`` for each mask a in ``masks``, all
-    commuting with b, in closed form: the two-factor product is
+    """The bit c with ``C(a ^ b) = (-1)^c * C(a) C(b)`` for each mask a in
+    ``masks``, all commuting with b, C(v) being :func:`from_proposition`'s
+    Pauli.  In closed form: the two-factor product is
     ``i^e sx^x sz^z`` with e = h(a) + h(b) + 2|z(a) & x(b)|, h(v) the count
     of Y factors ``(v & v >> n).bit_count()``, so the bit is
     ``(h(a ^ b) - e) % 4 // 2``, with h(b) counted once for all rows."""
@@ -231,8 +220,14 @@ def from_proposition(j: BitVector) -> SignedObservable:
 def _observable(mask: int, n: int, sign: int = 1) -> SignedObservable:
     """``sign`` times C(mask), the canonical Hermitian Pauli of a 2n-bit (x|z)
     mask: the observable :func:`parse_observable`, :func:`from_proposition`
-    and a tableau's ``generators`` build, straight from the mask."""
-    return SignedObservable(PauliOperator._from_mask(mask, n, _canonical_phase(mask, n)), sign)
+    and a tableau's ``generators`` build, straight from the mask.  The base
+    is canonical by construction, so only the sign is checked."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    obs = SignedObservable.__new__(SignedObservable)
+    obs._base = PauliOperator._from_mask(mask, n, _canonical_phase(mask, n))
+    obs._sign = sign
+    return obs
 
 
 def observable_product(a: SignedObservable, b: SignedObservable) -> SignedObservable:

@@ -11,13 +11,18 @@ Each row test is one AND and one popcount against the observable's mask with
 its halves swapped (:func:`gf2._swap_halves`, once per measurement), and a
 collapse's sign bits come from one :func:`pauli._pair_phase_bits`.
 
+Every Pauli query, a measurement or a dependence test of :mod:`logic`,
+reads one kernel, :func:`_scan`: a short generator prefix, then one
+destabilizer pass whose product decides a definite outcome, and otherwise
+the rest of the generator scan, which stops at the first anticommuting
+generator, the collapse pivot.
+
 Tableaus are value-like: measurement returns a fresh post-state instead of
 mutating, so states can be shared.  A measurement does only the work its
-result is read for: the generator scan stops at the first anticommuting
-generator, which is the collapse pivot.  A collapse runs only where a
-post-state is read: a :class:`MeasurementResult` from :func:`measure` or
-:func:`measure_forced` runs it on the first read of ``post_state``, and the
-joint pass of :func:`_outcome_set` when another observable follows.
+result is read for: a collapse runs only where a post-state is read.  A
+:class:`MeasurementResult` from :func:`measure` or :func:`measure_forced`
+runs it on the first read of ``post_state``, and the joint pass of
+:func:`_outcome_set` when another observable follows.
 Deferring it is safe because tableaus are immutable and the outcome bit is
 drawn at call time, so the random stream is consumed in call order whether
 or not a post-state is ever read.
@@ -156,8 +161,13 @@ class MeasurementResult:
     ) -> "MeasurementResult":
         """The result of :func:`_measure_deferred`'s ``(bit, kind, collapse)``
         on ``t``; a random one collapses when ``post_state`` is first read."""
-        result = cls(-1 if bit else 1, kind, None if collapse else t)
-        result.__dict__["_collapse_args"] = collapse
+        result = cls.__new__(cls)
+        result.__dict__.update(
+            outcome=-1 if bit else 1,
+            kind=kind,
+            _post_state=None if collapse else t,
+            _collapse_args=collapse,
+        )
         return result
 
     @property
@@ -383,10 +393,11 @@ def measure(
     state is unchanged.  Otherwise the outcome is +-1 with probability 1/2
     each, drawn now from ``rng`` (a ``numpy.random.Generator`` or anything
     with a ``random()`` method returning a float in [0, 1), else ValueError);
-    the module never owns a seed.  The generator scan stops at the first
-    anticommuting generator, and the collapse runs on the first read of the
-    result's ``post_state``: ``t`` is immutable and the bit is already drawn,
-    so the post-state and the random stream are the same whenever it is read.
+    the module never owns a seed.  :func:`_scan` decides which, drawing
+    nothing; a random bit is drawn only after it has found the outcome
+    random.  The collapse runs on the first read of the result's
+    ``post_state``: ``t`` is immutable and the bit is already drawn, so the
+    post-state and the random stream are the same whenever it is read.
     """
     def draw() -> int:
         if rng is None:
@@ -405,8 +416,8 @@ def measure_forced(
     """Like :func:`measure` but a random branch takes the given outcome.
 
     Deterministic measurements ignore ``outcome`` and report their own.  As
-    in :func:`measure`, the scan stops at the first anticommuting generator
-    and the collapse runs on the first read of ``post_state``.
+    in :func:`measure`, :func:`_scan` decides which, and the collapse runs on
+    the first read of ``post_state``.
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
@@ -419,42 +430,65 @@ def _measure_deferred(
     t: StabilizerTableau, obs: SignedObservable, random_bit: Callable[[], int]
 ) -> Tuple[int, MeasurementKind, tuple]:
     """The one measurement body: ``(outcome bit, kind, collapse)``, a random
-    branch taking its bit from ``random_bit()``.  ``collapse`` is ``()`` for
-    a definite outcome, whose post-state is ``t``, and otherwise the
-    arguments of the :func:`_collapse` that gives the post-state.  Only XORs
-    touch the sign bits, so they may be affine forms (see :func:`_outcome_set`)."""
-    n = t._n
-    if obs.n_qubits != n:
-        raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
-    ov = obs.base._mask
+    branch taking its bit from ``random_bit()`` once :func:`_scan` has found
+    the outcome random.  ``collapse`` is ``()`` for a definite outcome, whose
+    post-state is ``t``, and otherwise the arguments of the :func:`_collapse`
+    that gives the post-state.  Only XORs touch the sign bits, so they may be
+    affine forms (see :func:`_outcome_set`)."""
+    n, base = t._n, obs._base
+    if base._n != n:
+        raise ValueError(f"size mismatch: {base._n} vs {n} qubits")
+    ov = base._mask
     swapped = _swap_halves(ov, n)  # <ov, g> is the parity of swapped & g
-    q, factors = _scan(t, swapped)
+    q, definite = _scan(t, ov, swapped)
+    negative = int(obs._sign < 0)
     if q is None:
-        bit = int(obs.sign < 0) ^ pauli.phase_bit(ov, [t._gens[p] for p in factors], n)
-        return bit ^ _sign_bit(t, factors), MeasurementKind.DETERMINISTIC, ()
+        _, sign, phase = definite
+        return negative ^ sign ^ phase, MeasurementKind.DETERMINISTIC, ()
     bit = random_bit()
-    return bit, MeasurementKind.RANDOM, (t, ov, swapped, bit ^ int(obs.sign < 0), q)
+    return bit, MeasurementKind.RANDOM, (t, ov, swapped, bit ^ negative, q)
 
 
-def _scan(t: StabilizerTableau, swapped: int) -> Tuple[Optional[int], Optional[list]]:
-    """``(q, None)``, q the first generator anticommuting with the observable
-    of swapped mask ``swapped`` (random outcome, collapse pivot g_q), else
-    ``(None, factors)``: the destabilizer pairing picks the g_p, p in
-    ``factors`` ascending, with C(obs) = (-1)^c * prod_p C(g_p).  An
-    early-exit loop: ``any()`` over a generator is slower at N=128."""
-    for q, g in enumerate(t._gens):
+# Generators tested before the destabilizer pass of _scan.  A random outcome
+# almost always shows within the first few, so a full pass on every random
+# measurement would cost more than the generator tests it saves.
+_PREFIX = 8
+
+
+def _scan(
+    t: StabilizerTableau, ov: int, swapped: int
+) -> Tuple[Optional[int], Optional[tuple]]:
+    """Every Pauli query on a tableau: is C(ov), of swapped mask ``swapped``,
+    a product of the generators?  Returns ``(q, None)`` when it is not (a
+    random outcome), q the first generator anticommuting with it and so the
+    collapse pivot g_q; else ``(None, (factors, sign, phase))`` with
+    C(ov) = (-1)^phase * prod_p C(g_p) over p in ``factors`` ascending, and
+    ``sign`` the XOR of their sign bits.
+
+    The first ``_PREFIX`` generators are tested one by one.  If all commute,
+    one destabilizer pass picks the factors (<d_p, g_q> = delta_pq) and
+    multiplies them, phase exponent e as in :func:`pauli.multiply`.  N
+    independent commuting generators span a Lagrangian subspace, so C(ov)
+    commutes with all of them exactly when the product is ov; otherwise the
+    generator tests resume after the prefix for q."""
+    gens = t._gens
+    for q, g in enumerate(gens[:_PREFIX]):
         if (swapped & g).bit_count() & 1:
             return q, None
-    return None, [p for p, d in enumerate(t._destabs) if (swapped & d).bit_count() & 1]
-
-
-def _sign_bit(t: StabilizerTableau, factors: Sequence[int]) -> int:
-    """The sign bit of the product of the generators g_p, p in ``factors``,
-    with no phase: the XOR of their sign bits."""
-    bit = 0
+    n, signs = t._n, t._signs
+    factors = [p for p, d in enumerate(t._destabs) if (swapped & d).bit_count() & 1]
+    v = e = sign = 0  # the running product i^e * sx^x * sz^z with (x|z) = v
     for p in factors:
-        bit ^= t._signs[p]
-    return bit
+        f = gens[p]
+        e += (f & f >> n).bit_count() + 2 * (v >> n & f).bit_count()
+        v ^= f
+        sign ^= signs[p]
+    if v == ov:
+        return None, (factors, sign, ((ov & ov >> n).bit_count() - e) % 4 // 2)
+    for q in range(_PREFIX, n):
+        if (swapped & gens[q]).bit_count() & 1:
+            return q, None
+    raise AssertionError("observable not in generator span")  # the rank-N invariant broke
 
 
 def _outcome_set(

@@ -104,6 +104,26 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["ghz-demo", "--config", ""], "--config"),
+            (["blackbox", "--state", "{bell}", "--config", ""], "--config"),
+            (["prepare", "--axioms", ""], "--axioms"),
+            (["enumerate", "--axioms", ""], "--axioms"),
+            (["measure", "--state", "", "--obs", "ZI"], "--state"),
+            (["sample", "--state", "", "--obs", "ZI"], "--state"),
+            (["prepare", "--axioms", "{bell}", "--out", ""], "--out"),
+        ],
+    )
+    def test_empty_path_names_its_option(self, tmp_path, capsys, argv, option):
+        bell = tmp_path / "bell.tab"
+        bell.write_text(BELL_AXIOM_FILE)
+        code, out, err = run(capsys, *[a.format(bell=bell) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {option} is an empty path\n"
+
     def test_largest_seed_is_accepted(self, capsys):
         code, out, _ = run(capsys, "q1-demo", "--runs", "10",
                            "--seed", "18446744073709551615")

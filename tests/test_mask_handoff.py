@@ -128,9 +128,9 @@ class TestObservable:
 @pytest.fixture
 def built(monkeypatch):
     """Counts the BitVector, BitMatrix and SignedObservable objects built.
-    ``BitVector.from_mask`` skips ``__init__``, so it is counted apart.  (A
-    patched ``__new__`` would not do: deleting it again leaves the class
-    rejecting constructor arguments.)"""
+    ``BitVector.from_mask`` and ``pauli._observable`` skip ``__init__``, so
+    they are counted apart.  (A patched ``__new__`` would not do: deleting it
+    again leaves the class rejecting constructor arguments.)"""
     counts = Counter()
 
     def counted(name, fn):
@@ -141,6 +141,7 @@ def built(monkeypatch):
 
     from_mask = BitVector.from_mask.__func__
     monkeypatch.setattr(BitVector, "from_mask", classmethod(counted("BitVector", from_mask)))
+    monkeypatch.setattr(pauli, "_observable", counted("SignedObservable", pauli._observable))
     for cls in (BitVector, BitMatrix, SignedObservable):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     return counts

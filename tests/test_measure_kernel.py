@@ -191,16 +191,15 @@ def test_row_tests_equal_symplectic_products(n):
 
 
 def test_measurement_makes_no_per_row_calls(monkeypatch):
-    """At N=64 the row scans call no ``_symplectic`` and no ``phase_bit``:
-    one swap per measurement, one ``phase_bit`` per definite outcome and one
-    ``_pair_phase_bits`` per collapse."""
+    """At N=64 the row scans call no ``_symplectic``: one swap and one
+    ``_scan`` per measurement, and one ``_pair_phase_bits`` per collapse."""
     n = 64
     rng = philox_rng(n, 73)
     state = stab.prepare(stab.random_axioms(n, rng))
     observables = []
     for _ in range(40):
         observables.append(next_observable(rng, state, observables))
-    calls = {"symplectic": 0, "phase_bit": 0, "pair": 0, "swap": 0}
+    calls = {"symplectic": 0, "scan": 0, "pair": 0, "swap": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -212,7 +211,7 @@ def test_measurement_makes_no_per_row_calls(monkeypatch):
     monkeypatch.setattr(gf2, "_symplectic", counting("symplectic", gf2._symplectic))
     monkeypatch.setattr(pauli, "_symplectic", counting("symplectic", pauli._symplectic))
     monkeypatch.setattr(stab, "_symplectic", counting("symplectic", gf2._symplectic), raising=False)
-    monkeypatch.setattr(pauli, "phase_bit", counting("phase_bit", pauli.phase_bit))
+    monkeypatch.setattr(stab, "_scan", counting("scan", stab._scan))
     monkeypatch.setattr(pauli, "_pair_phase_bits", counting("pair", pauli._pair_phase_bits))
     monkeypatch.setattr(stab, "_swap_halves", counting("swap", stab._swap_halves))
     kinds = []
@@ -224,7 +223,7 @@ def test_measurement_makes_no_per_row_calls(monkeypatch):
     assert 0 < random < len(kinds)
     assert calls == {
         "symplectic": 0,
-        "phase_bit": len(kinds) - random,
+        "scan": len(kinds),
         "pair": random,
         "swap": len(kinds),
     }

@@ -18,6 +18,7 @@ from axiombox import stabilizer as stab
 from axiombox.gf2 import BitVector, _echelon, _reduce, _swap_halves
 from axiombox.blackbox import BlackBoxConfig
 from axiombox.logic import AxiomSet, DependenceReport, Proposition
+from test_measure_kernel import frozen_phase_bit
 
 GHZ_AXIOM_FILE = "-YYX\n-YXY\n-XYY\n"
 
@@ -49,7 +50,7 @@ def frozen_classify(j, axioms, pivots):
         dependent=True,
         coefficients=coeffs,
         classical_truth=(combo & parity_mask).bit_count() & 1,
-        phase_bit=pauli.phase_bit(j.vector.mask, factors, axioms.n_qubits),
+        phase_bit=frozen_phase_bit(j.vector.mask, factors, axioms.n_qubits),
     )
 
 
@@ -169,7 +170,8 @@ class TestMatchesFrozenReduce:
 
 class TestScan:
     """``stabilizer._scan`` gives the first anticommuting generator, or the
-    generators whose product is the observable up to sign."""
+    generators whose product is the observable with the XOR of their sign
+    bits and the product's phase bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 16, 40])
     def test_pivot_or_factors(self, n):
@@ -180,21 +182,26 @@ class TestScan:
         for mask in masks:
             swapped = _swap_halves(mask, n)
             anti = [q for q, g in enumerate(t._gens) if (swapped & g).bit_count() & 1]
-            q, factors = stab._scan(t, swapped)
+            q, definite = stab._scan(t, mask, swapped)
             if anti:
-                assert (q, factors) == (anti[0], None)
+                assert (q, definite) == (anti[0], None)
                 continue
             assert q is None
-            product = 0
+            factors, sign, phase = definite
+            product = sign_bits = 0
             for p in factors:
                 product ^= t._gens[p]
+                sign_bits ^= t._signs[p]
             assert product == mask
             assert factors == sorted(factors)
+            assert sign == sign_bits
+            assert phase == frozen_phase_bit(mask, [t._gens[p] for p in factors], n)
 
     def test_first_generator_is_pivot_zero(self):
         # q = 0 must read as random, not as a falsy "no pivot".
         t = stab.prepare([(pauli.parse_observable("Z").vector, 1)])
-        assert stab._scan(t, _swap_halves(pauli.parse_observable("X").vector.mask, 1)) == (0, None)
+        x = pauli.parse_observable("X").vector.mask
+        assert stab._scan(t, x, _swap_halves(x, 1)) == (0, None)
         report = logic.classify(Proposition.from_string("X"), one_z_per_qubit(1, [0]))
         assert not report.dependent
 
