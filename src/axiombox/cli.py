@@ -23,6 +23,7 @@ from . import blackbox as bb
 from . import logic
 from . import pauli
 from . import stabilizer as stab
+from .gf2 import BitVector
 
 ORACLE_TOLERANCE = 1e-9
 
@@ -46,8 +47,9 @@ def _load_config(path: str) -> bb.BlackBoxConfig:
     return bb.parse_config(_path(path, "--config").read_text())
 
 
-def _load_axiom_observables(path: str) -> list:
-    return pauli._parse_observable_lines(_path(path, "--axioms").read_text())
+def _load_tableau(path: str, option: str) -> stab.StabilizerTableau:
+    """The tableau an axiom or tableau file prepares; both share one grammar."""
+    return stab.StabilizerTableau.from_text(_path(path, option).read_text())
 
 
 def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
@@ -64,35 +66,26 @@ def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
     return cfg
 
 
-def _noise_from_args(args):
-    from . import experiment as xp
-
-    return xp.NoiseModel(flip_prob=args.noise)
-
-
 def cmd_prepare(args) -> int:
-    tableau = stab.StabilizerTableau.from_text(_path(args.axioms, "--axioms").read_text())
-    _write_output(tableau.to_text(), args.out)
+    _write_output(_load_tableau(args.axioms, "--axioms").to_text(), args.out)
     return 0
 
 
 def cmd_blackbox(args) -> int:
-    tableau = stab.StabilizerTableau.from_text(_path(args.state, "--state").read_text())
+    tableau = _load_tableau(args.state, "--state")
     cfg = _load_config(args.config)
     _write_output(stab.apply_blackbox(tableau, cfg).to_text(), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    observables = _load_axiom_observables(args.axioms)
-    axioms = logic.AxiomSet.from_observables(observables)
-    prop = logic.Proposition.from_string(args.prop)
-    report = logic.classify(prop, axioms)
+    axioms = _load_tableau(args.axioms, "--axioms")
+    report = logic.classify(logic.Proposition.from_string(args.prop), axioms)
     if not report.dependent:
         _write_output("independent\n", args.out)
         return 0
     classical = report.classical_truth
-    quantum = logic.quantum_truth(prop, axioms)
+    quantum = classical ^ report.phase_bit  # the definite outcome bit, same scan
     k = ",".join(str(bit) for bit in report.coefficients)
     _write_output(
         f"dependent, k=({k}), classical={classical}, quantum={quantum}\n", args.out
@@ -103,7 +96,7 @@ def cmd_check(args) -> int:
 def cmd_measure(args) -> int:
     from . import experiment as xp
 
-    tableau = stab.StabilizerTableau.from_text(_path(args.state, "--state").read_text())
+    tableau = _load_tableau(args.state, "--state")
     obs = pauli.parse_observable(args.obs)
     result = stab.measure(tableau, obs, rng=xp.philox_rng(args.seed))
     kind = result.kind.value
@@ -114,7 +107,7 @@ def cmd_measure(args) -> int:
 def cmd_sample(args) -> int:
     from . import experiment as xp
 
-    tableau = stab.StabilizerTableau.from_text(_path(args.state, "--state").read_text())
+    tableau = _load_tableau(args.state, "--state")
     observables = [pauli.parse_observable(tok) for tok in args.obs.split(",")]
     if 2 ** len(observables) > xp._RUN_CAP:  # the CSV lists every outcome
         raise ValueError(
@@ -122,7 +115,7 @@ def cmd_sample(args) -> int:
             f"2^{len(observables)} outcome rows exceed {xp._RUN_CAP}"
         )
     record = xp.sample(
-        tableau, observables, args.runs, args.seed, _noise_from_args(args)
+        tableau, observables, args.runs, args.seed, xp.NoiseModel(flip_prob=args.noise)
     )
     basis_label = ";".join(str(o) for o in observables)
     rows = xp.record_rows(Path(args.state).stem, basis_label, record, len(observables))
@@ -138,7 +131,7 @@ def cmd_enumerate(args) -> int:
     if args.axioms is not None and args.n is not None:
         raise ValueError("enumerate takes --n or --axioms, not both")
     if args.axioms is not None:
-        axioms = logic.AxiomSet.from_observables(_load_axiom_observables(args.axioms))
+        axioms = _load_tableau(args.axioms, "--axioms")
         n = axioms.n_qubits
     else:
         n = args.n
@@ -147,10 +140,7 @@ def cmd_enumerate(args) -> int:
         if not 1 <= n <= logic.ENUMERATION_CAP:
             raise ValueError(f"--n must lie in [1, {logic.ENUMERATION_CAP}], got {n}")
         # Default axiom system: one z observable per qubit.
-        observables = [
-            pauli.parse_observable("I" * i + "Z" + "I" * (n - i - 1)) for i in range(n)
-        ]
-        axioms = logic.AxiomSet.from_observables(observables)
+        axioms = stab.prepare([(BitVector.unit(n + i, 2 * n), 1) for i in range(n)])
     counts = logic.enumerate_propositions(n, axioms)
     _write_output(
         f"dependent: {counts.dependent}, independent: {counts.independent}\n",
@@ -169,26 +159,15 @@ def cmd_ghz_demo(args) -> int:
     return 0
 
 
-def cmd_q1_demo(args) -> int:
+def cmd_grid_demo(args) -> int:
     from . import experiment as xp
 
-    cfg = _config_from_args(args, 1)
-    rows = xp.reproduce_q1(cfg, args.runs, args.seed, _noise_from_args(args))
+    grids = {"q1-demo": (1, xp.reproduce_q1), "q2-demo": (2, xp.reproduce_q2)}
+    n, reproduce = grids[args.command]
+    cfg = _config_from_args(args, n)
+    rows = reproduce(cfg, args.runs, args.seed, xp.NoiseModel(flip_prob=args.noise))
     comment = (
-        f"q1-demo config={cfg} runs={args.runs} seed={args.seed} "
-        f"flip_prob={args.noise}"
-    )
-    _write_output(xp.render_frequency_csv(rows, comment), args.out)
-    return 0
-
-
-def cmd_q2_demo(args) -> int:
-    from . import experiment as xp
-
-    cfg = _config_from_args(args, 2)
-    rows = xp.reproduce_q2(cfg, args.runs, args.seed, _noise_from_args(args))
-    comment = (
-        f"q2-demo config={cfg} runs={args.runs} seed={args.seed} "
+        f"{args.command} config={cfg} runs={args.runs} seed={args.seed} "
         f"flip_prob={args.noise}"
     )
     _write_output(xp.render_frequency_csv(rows, comment), args.out)
@@ -215,7 +194,7 @@ def cmd_oracle_compare(args) -> int:
         dense = oracle.distribution(state, observables)
         deviation = exact.max_deviation(dense)
         if deviation > worst:
-            worst, worst_trial = deviation, (trial, axioms, observables)
+            worst, worst_trial = deviation, (trial, tableau, observables)
     agree = worst < ORACLE_TOLERANCE
     text = (
         f"trials: {args.trials}\nmax_deviation: {worst:.3e}\n"
@@ -223,10 +202,9 @@ def cmd_oracle_compare(args) -> int:
     )
     if not agree:
         # Name the worst trial (counted from 0) so that it can be replayed.
-        trial, axioms, observables = worst_trial
-        signed = [pauli._observable(v.mask, args.n, s) for v, s in axioms]
+        trial, tableau, observables = worst_trial
         text += (
-            f"worst_trial: {trial}\naxioms: {','.join(map(str, signed))}\n"
+            f"worst_trial: {trial}\naxioms: {','.join(map(str, tableau.generators))}\n"
             f"observables: {','.join(map(str, observables))}\n"
         )
     _write_output(text, args.out)
@@ -310,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("q1-demo", parents=[common], help="single-qubit state/basis grid")
     p.add_argument("--config", default=None, help="config file (1 function)")
     p.add_argument("--labels", default=None, help="label like y1")
-    p.set_defaults(func=cmd_q1_demo)
+    p.set_defaults(func=cmd_grid_demo)
 
     p = sub.add_parser("q2-demo", parents=[common], help="Bell-state three-basis grid")
     p.add_argument("--config", default=None, help="config file (2 functions)")
     p.add_argument("--labels", default=None, help="labels like y2,y2")
-    p.set_defaults(func=cmd_q2_demo)
+    p.set_defaults(func=cmd_grid_demo)
 
     p = sub.add_parser("oracle-compare", parents=[common], help="tableau vs dense oracle")
     p.add_argument("--n", type=int, required=True, help="qubit count")

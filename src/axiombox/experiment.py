@@ -315,7 +315,7 @@ def _grid(states, bases, cfg: BlackBoxConfig, n_runs: int, seed: int, noise) -> 
     sampled in basis k from substream ``len(bases) * i + k``."""
     rows: List[FrequencyRow] = []
     for i, (state_label, axiom_letters) in enumerate(states):
-        prepared = stab.prepare([(pauli.parse_observable(s).vector, 1) for s in axiom_letters])
+        prepared = StabilizerTableau.from_text("\n".join(axiom_letters))
         evolved = stab.apply_blackbox(prepared, cfg)
         for k, (basis_label, letters) in enumerate(bases):
             record = sample(

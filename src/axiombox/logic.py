@@ -274,9 +274,7 @@ def ghz_report(cfg: BlackBoxConfig) -> GhzReport:
     parities = [1 ^ t for t in shifts]
     axioms = AxiomSet(axiom_vectors, parities)
 
-    state = stab.prepare(
-        [(pauli.parse_observable(s).vector, 1) for s in GHZ_GENERATOR_STRINGS]
-    )
+    state = StabilizerTableau.from_text("\n".join(GHZ_GENERATOR_STRINGS))
     state = stab.apply_blackbox(state, cfg)
     for vector, parity in zip(axiom_vectors, parities):
         encoded = quantum_truth(Proposition(vector), state)

@@ -78,8 +78,8 @@ def pauli_matrix(obs: SignedObservable) -> DenseOperator:
 def state_from_axioms(axioms) -> DenseState:
     """Normalized joint eigenstate of the signed axiom observables.
 
-    ``axioms`` is anything with ``generator_pairs()`` (an AxiomSet) or a
-    plain list of (vector, sign) pairs.  The axioms must commute and fix
+    ``axioms`` is any prepared tableau (an AxiomSet included) or a plain
+    list of (vector, sign) pairs.  The axioms must commute and fix
     exactly one state.  Commuting Pauli projectors fix a space of dimension
     0 when their signs clash and 2^(N - rank) otherwise, the rank taken over
     GF(2).  The space's support in the computational basis is where every
@@ -90,7 +90,10 @@ def state_from_axioms(axioms) -> DenseState:
     factors in reverse axiom order, then acts on the least basis vector in
     the support alone, at O(N 2^N).
     """
-    pairs = axioms.generator_pairs() if hasattr(axioms, "generator_pairs") else list(axioms)
+    if hasattr(axioms, "generators"):
+        pairs = [(g.vector, g.sign) for g in axioms.generators]
+    else:
+        pairs = list(axioms)
     if not pairs:
         raise ValueError("empty axiom list")
     if len({len(vector) for vector, _ in pairs}) != 1:

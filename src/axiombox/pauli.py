@@ -269,13 +269,6 @@ def parse_observable(text: str) -> SignedObservable:
     return _observable(mask, n, sign)
 
 
-def _parse_observable_lines(text: str) -> list:
-    """One observable per line of an axiom or tableau file; '#' starts a
-    comment and blank lines are skipped."""
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return [parse_observable(line) for line in lines if line]
-
-
 def format_observable(obs: SignedObservable) -> str:
     mask, n = obs.base._mask, obs.base._n
     letters = "".join("IXZY"[(mask >> j & 1) | (mask >> n + j & 1) << 1] for j in range(n))

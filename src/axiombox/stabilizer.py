@@ -121,8 +121,16 @@ class StabilizerTableau:
 
     @classmethod
     def from_text(cls, text: str) -> "StabilizerTableau":
-        """Parse :meth:`to_text` output (or any axiom file) and prepare."""
-        return prepare([(o.vector, o.sign) for o in pauli._parse_observable_lines(text)])
+        """Prepare a tableau or axiom file, the one grammar for both: one
+        signed Pauli string per line, as :meth:`to_text` writes them; '#'
+        starts a comment and blank lines are skipped.  The result is a
+        ``cls``, so ``AxiomSet.from_text`` gives an :class:`logic.AxiomSet`."""
+        lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+        observables = [pauli.parse_observable(line) for line in lines if line]
+        t = prepare([(o.vector, o.sign) for o in observables])
+        tableau = cls.__new__(cls)
+        StabilizerTableau.__init__(tableau, t._n, t._gens, t._signs, t._destabs)
+        return tableau
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StabilizerTableau):

@@ -101,6 +101,28 @@ class TestPinnedStreams:
             115, 85, 100, 100, 11, 189,
         ]
 
+    def test_q2_demo_output(self):
+        out = cli_output("q2-demo", "--labels", "y2,y1", "--runs", "200",
+                         "--seed", "5", "--noise", "0.1")
+        counts = [int(line.split(",")[3]) for line in out.splitlines()[2:]]
+        assert out.splitlines()[0] == "# q2-demo config=y2,y1 runs=200 seed=5 flip_prob=0.1"
+        assert counts == [
+            4, 16, 20, 160,
+            16, 84, 86, 14,
+            54, 40, 54, 52,
+        ]
+
+    def test_sample_output(self, tmp_path):
+        state = tmp_path / "ghz.txt"
+        state.write_text("+ZZI\n+IZZ\n-XXX\n")
+        out = cli_output("sample", "--state", str(state), "--obs", "XXI,IXX,XXX",
+                         "--runs", "300", "--seed", "9", "--noise", "0.05")
+        counts = [int(line.split(",")[3]) for line in out.splitlines()[2:]]
+        assert out.splitlines()[0] == (
+            "# sample state=ghz.txt obs=XXI,IXX,XXX runs=300 seed=9 flip_prob=0.05"
+        )
+        assert counts == [3, 85, 6, 67, 1, 65, 1, 72]
+
     def test_oracle_compare_output(self):
         out = cli_output("oracle-compare", "--n", "3", "--trials", "10", "--seed", "7")
         assert out == "trials: 10\nmax_deviation: 1.110e-16\nverdict: agree\n"
