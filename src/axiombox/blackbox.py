@@ -124,7 +124,7 @@ def proposition_truth(j: BitVector, cfg: BlackBoxConfig) -> int:
 
 def _parity(mask: int, cfg: BlackBoxConfig) -> int:
     """:func:`proposition_truth` of the 2n-bit (x|z) mask ``mask``, unchecked;
-    ``stabilizer.apply_blackbox`` reads its generators' sign flips from it."""
+    ``apply_blackbox`` and ``conjugate_by_blackbox`` read sign flips from it."""
     return ((mask >> cfg.n & cfg._f0) ^ (mask & cfg._f1)).bit_count() & 1
 
 

@@ -36,6 +36,15 @@ def _path(value: str, option: str) -> Path:
     return Path(value)
 
 
+def _read_text(value: str, option: str) -> str:
+    """An option's file as UTF-8 text; undecodable bytes raise an error naming both."""
+    try:
+        return _path(value, option).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} at byte {exc.start}"
+        raise ValueError(f"{option} {value} is not UTF-8 text: {reason}") from None
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -44,12 +53,12 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def _load_config(path: str) -> bb.BlackBoxConfig:
-    return bb.parse_config(_path(path, "--config").read_text())
+    return bb.parse_config(_read_text(path, "--config"))
 
 
 def _load_tableau(path: str, option: str) -> stab.StabilizerTableau:
     """The tableau an axiom or tableau file prepares; both share one grammar."""
-    return stab.StabilizerTableau.from_text(_path(path, option).read_text())
+    return stab.StabilizerTableau.from_text(_read_text(path, option))
 
 
 def _config_from_args(args, n: int) -> bb.BlackBoxConfig:

@@ -19,9 +19,9 @@ vector of even length ``2N`` is split as ``(x-part | z-part)`` with qubit
 index ascending, i.e. bits ``0..N-1`` are the x exponents and bits ``N..2N-1``
 the z exponents.  Tableaus, Pauli operators and propositions all carry such
 packed int masks whole; only this module, :mod:`axiombox.pauli`,
-:func:`axiombox.blackbox._parity` and :func:`axiombox.oracle.state_from_axioms`
-(which shares only the commutation check with the exact core) read the two
-halves apart.
+:func:`axiombox.blackbox._parity`, :func:`axiombox.stabilizer._scan`'s product
+loop and :func:`axiombox.oracle.state_from_axioms` (which shares only the
+commutation check with the exact core) read the two halves apart.
 """
 from __future__ import annotations
 

@@ -17,7 +17,6 @@ three-qubit instance of that divergence.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -25,10 +24,11 @@ from . import blackbox as bb
 from . import pauli
 from . import stabilizer as stab
 from .blackbox import BlackBoxConfig
-from .gf2 import BitVector, _pairing_transpose, _span, _swap_halves
+from .gf2 import BitVector, _swap_halves
 from .pauli import SignedObservable
 from .stabilizer import StabilizerTableau
 
+# Bounds `enumerate --n`'s default system and the counts; lifting it changes behaviour.
 ENUMERATION_CAP = 16
 
 
@@ -179,24 +179,16 @@ def quantum_truth(j: Proposition, state: StabilizerTableau) -> Optional[int]:
 
 
 def enumerate_propositions(n: int, axioms: StabilizerTableau) -> PropositionCounts:
-    """Count the 4^n proposition vectors that depend on the axioms, by meet
-    in the middle on syndromes.
+    """Count the 4^n proposition vectors that depend on the axioms.
 
-    A mask's syndrome (bit q: its symplectic product with g_q) is linear and
-    is 0 exactly for dependent masks; row j of :func:`gf2._pairing_transpose`
-    is the syndrome of e_j.  So ``hi << n ^ lo`` is dependent exactly when
-    ``hi << n`` and ``lo`` have the same syndrome.  Each half's 2^n syndromes
-    take 2^n XORs of its n rows; tallying the low ones and summing the
-    tallies of the high ones counts each of the 4^n vectors once.  For any
-    valid axiom set the result is (2^n, 4^n - 2^n).
+    Dependent means in the span of the generators, and the k generators that
+    :func:`stabilizer.prepare` proved independent span exactly 2^k vectors.
     """
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
     if axioms.n_qubits != n:
         raise ValueError(f"axiom set is for {axioms.n_qubits} qubits, not {n}")
-    rows = _pairing_transpose(axioms._gens, n)
-    tally = Counter(_span(rows[:n]))
-    dependent = sum(map(tally.__getitem__, _span(rows[n:])))
+    dependent = 2 ** len(axioms._gens)
     return PropositionCounts(dependent, 4 ** n - dependent)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from typing import Sequence
 
-from .blackbox import BlackBoxConfig, proposition_truth
+from .blackbox import BlackBoxConfig, _parity
 from .gf2 import BitVector, _symplectic
 
 _X_DIGITS = str.maketrans("IXYZixyz", "01100110")
@@ -244,11 +244,11 @@ def conjugate_by_blackbox(
 
     The (x, z) pattern is fixed; only the sign picks up
     ``(-1)^{sum_j [z_j f_j(0) + x_j f_j(1)]}``, the parity that
-    :func:`blackbox.proposition_truth` gives the observable's vector.
+    :func:`blackbox._parity` reads off the observable's mask.
     """
     if obs.n_qubits != cfg.n:
         raise ValueError(f"size mismatch: {obs.n_qubits} qubits vs {cfg.n} functions")
-    return obs.negated() if proposition_truth(obs.vector, cfg) else obs
+    return obs.negated() if _parity(obs._base._mask, cfg) else obs
 
 
 def parse_observable(text: str) -> SignedObservable:

@@ -124,6 +124,33 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {option} is an empty path\n"
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["prepare", "--axioms", "{bad}"], "--axioms"),
+            (["blackbox", "--state", "{bad}", "--config", "{cfg}"], "--state"),
+            (["blackbox", "--state", "{bell}", "--config", "{bad}"], "--config"),
+            (["check", "--axioms", "{bad}", "--prop", "ZZ"], "--axioms"),
+            (["measure", "--state", "{bad}", "--obs", "ZI"], "--state"),
+            (["sample", "--state", "{bad}", "--obs", "ZI"], "--state"),
+            (["enumerate", "--axioms", "{bad}"], "--axioms"),
+            (["ghz-demo", "--config", "{bad}"], "--config"),
+            (["q1-demo", "--config", "{bad}"], "--config"),
+            (["q2-demo", "--config", "{bad}"], "--config"),
+        ],
+    )
+    def test_non_utf8_file_names_its_option(self, tmp_path, capsys, argv, option):
+        bell = tmp_path / "bell.tab"
+        bell.write_text(BELL_AXIOM_FILE)
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("y0\ny0\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"+ZZ\n\xff\n")
+        code, out, err = run(capsys, *[a.format(bell=bell, cfg=cfg, bad=bad) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {option} {bad} is not UTF-8 text: invalid start byte at byte 4\n"
+
     def test_largest_seed_is_accepted(self, capsys):
         code, out, _ = run(capsys, "q1-demo", "--runs", "10",
                            "--seed", "18446744073709551615")

@@ -1,4 +1,6 @@
 """Dependence classification, the two truth values, counting, GHZ report."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,17 @@ class TestEnumerate:
         assert tuple(logic.enumerate_propositions(3, axioms)) == (8, 56)
         assert logic.classify(prop("XXX"), axioms).dependent
 
+    def test_n16_allocates_nothing_per_proposition(self):
+        axioms = stab.prepare(stab.random_axioms(16, np.random.default_rng(63)))
+        tracemalloc.start()
+        try:
+            counts = logic.enumerate_propositions(16, axioms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tuple(counts) == (2 ** 16, 4 ** 16 - 2 ** 16)
+        assert peak < 64 * 1024
+
     def test_cap(self):
         axioms = AxiomSet([BitVector("01")], [0])
         with pytest.raises(ValueError, match="cap"):
@@ -246,6 +259,14 @@ def frozen_scan(n, axioms):
     return (dependent, 4 ** n - dependent)
 
 
+def span_count(n, tableau):
+    """Brute-force counts for any tableau: every one of the 4^n masks reduced
+    against the pivots of one elimination of its generator masks."""
+    pivots = _echelon(list(tableau._gens))
+    dependent = sum(1 for mask in range(4 ** n) if not _reduce(mask, pivots)[0])
+    return (dependent, 4 ** n - dependent)
+
+
 class TestEnumerateMatchesFrozenScan:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_random_systems(self, n):
@@ -266,6 +287,25 @@ class TestEnumerateMatchesFrozenScan:
     def test_ghz(self):
         axioms = ghz_axiom_set()
         assert tuple(logic.enumerate_propositions(3, axioms)) == frozen_scan(3, axioms)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_blackbox_outputs(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(3):
+            state = stab.prepare(stab.random_axioms(n, rng))
+            cfg = BlackBoxConfig.from_labels(rng.integers(0, 4, n))
+            out = stab.apply_blackbox(state, cfg)
+            assert tuple(logic.enumerate_propositions(n, out)) == span_count(n, out)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_measured_post_states(self, n):
+        rng = np.random.default_rng(90 + n)
+        state = stab.prepare(stab.random_axioms(n, rng))
+        for _ in range(4):
+            mask = int(rng.integers(1, 4 ** n))
+            obs = pauli._observable(mask, n, 1)
+            state = stab.measure_forced(state, obs, int(rng.choice([1, -1]))).post_state
+            assert tuple(logic.enumerate_propositions(n, state)) == span_count(n, state)
 
 
 class TestGhzReport:

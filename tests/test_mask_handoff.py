@@ -1,7 +1,7 @@
 """Masks handed across the library's internal boundaries.
 
-``apply_blackbox`` reads each generator's sign flip off its mask with
-``blackbox._parity``, and ``pauli._observable`` builds a signed observable
+``apply_blackbox`` and ``conjugate_by_blackbox`` read each sign flip off a
+mask with ``blackbox._parity``, and ``pauli._observable`` builds a signed observable
 straight from a mask for ``parse_observable``, ``from_proposition``, a
 tableau's ``generators`` and ``random_commuting_observables``.  These tests
 pin both to frozen copies of the value-object paths they replace, and count
@@ -38,6 +38,12 @@ def frozen_apply_blackbox(t, cfg):
     vectors = [BitVector.from_mask(g, 2 * t._n) for g in t._gens]
     signs = [s ^ frozen_proposition_truth(v, cfg) for v, s in zip(vectors, t._signs)]
     return StabilizerTableau(t._n, t._gens, signs, t._destabs)
+
+
+def frozen_conjugate_by_blackbox(obs, cfg):
+    if obs.n_qubits != cfg.n:
+        raise ValueError(f"size mismatch: {obs.n_qubits} qubits vs {cfg.n} functions")
+    return obs.negated() if frozen_proposition_truth(obs.vector, cfg) else obs
 
 
 def frozen_observable(mask, n, sign):
@@ -81,6 +87,26 @@ class TestApplyBlackbox:
         t = stab.prepare([(pauli.parse_observable("Z").vector, 1)])
         with pytest.raises(ValueError, match="size mismatch: 1 qubits vs 2 functions"):
             stab.apply_blackbox(t, BlackBoxConfig.identity(2))
+
+
+class TestConjugateByBlackbox:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_config(self, n):
+        observables = [
+            pauli._observable(mask, n, sign) for mask in range(4 ** n) for sign in (1, -1)
+        ]
+        for cfg in BlackBoxConfig.all_configs(n):
+            for obs in observables:
+                got = pauli.conjugate_by_blackbox(obs, cfg)
+                assert got == frozen_conjugate_by_blackbox(obs, cfg)
+                assert str(got) == str(frozen_conjugate_by_blackbox(obs, cfg))
+
+    def test_builds_no_bit_vector(self, built):
+        cfg = BlackBoxConfig.from_labels([1, 2, 3, 0, 2, 2, 1, 3])
+        obs = pauli._observable(0xBEEF, 8, -1)
+        built.clear()
+        pauli.conjugate_by_blackbox(obs, cfg)
+        assert "BitVector" not in built
 
 
 class TestObservable:

@@ -123,6 +123,36 @@ class TestPinnedStreams:
         )
         assert counts == [3, 85, 6, 67, 1, 65, 1, 72]
 
+    @pytest.mark.parametrize("n, want", [
+        (1, "dependent: 2, independent: 2\n"),
+        (2, "dependent: 4, independent: 12\n"),
+        (3, "dependent: 8, independent: 56\n"),
+        (4, "dependent: 16, independent: 240\n"),
+        (5, "dependent: 32, independent: 992\n"),
+        (6, "dependent: 64, independent: 4032\n"),
+        (7, "dependent: 128, independent: 16256\n"),
+        (8, "dependent: 256, independent: 65280\n"),
+        (9, "dependent: 512, independent: 261632\n"),
+        (10, "dependent: 1024, independent: 1047552\n"),
+        (11, "dependent: 2048, independent: 4192256\n"),
+        (12, "dependent: 4096, independent: 16773120\n"),
+        (13, "dependent: 8192, independent: 67100672\n"),
+        (14, "dependent: 16384, independent: 268419072\n"),
+        (15, "dependent: 32768, independent: 1073709056\n"),
+        (16, "dependent: 65536, independent: 4294901760\n"),
+    ])
+    def test_enumerate_output(self, n, want):
+        assert cli_output("enumerate", "--n", str(n)) == want
+
+    @pytest.mark.parametrize("name, text, want", [
+        ("ghz", "-YYX\n-YXY\n-XYY\n", "dependent: 8, independent: 56\n"),
+        ("bell", "+ZZ\n+XX\n", "dependent: 4, independent: 12\n"),
+    ])
+    def test_enumerate_axioms_output(self, tmp_path, name, text, want):
+        axioms = tmp_path / f"{name}.tab"
+        axioms.write_text(text)
+        assert cli_output("enumerate", "--axioms", str(axioms)) == want
+
     def test_oracle_compare_output(self):
         out = cli_output("oracle-compare", "--n", "3", "--trials", "10", "--seed", "7")
         assert out == "trials: 10\nmax_deviation: 1.110e-16\nverdict: agree\n"
