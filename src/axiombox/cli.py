@@ -37,12 +37,25 @@ def _path(value: str, option: str) -> Path:
 
 
 def _read_text(value: str, option: str) -> str:
-    """An option's file as UTF-8 text; undecodable bytes raise an error naming both."""
+    """An option's file as UTF-8 text; each error names the option and the path."""
     try:
         return _path(value, option).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         reason = f"{exc.reason} at byte {exc.start}"
         raise ValueError(f"{option} {value} is not UTF-8 text: {reason}") from None
+    except OSError as exc:
+        raise ValueError(f"{option} {value} cannot be read: {exc.strerror}") from None
+
+
+def _check_out(value: str) -> None:
+    """Reject an --out path that cannot be written as a file, before the work."""
+    path = _path(value, "--out")
+    if value == "-":
+        return
+    if path.is_dir():
+        raise ValueError(f"--out {value} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--out {value} is not in an existing directory")
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -189,8 +202,7 @@ def cmd_oracle_compare(args) -> int:
 
     if not 1 <= args.n <= oracle.DENSE_CAP:
         raise ValueError(f"--n must lie in [1, {oracle.DENSE_CAP}], got {args.n}")
-    if not 1 <= args.trials <= xp._RUN_CAP:
-        raise ValueError(f"--trials must lie in [1, {xp._RUN_CAP}], got {args.trials}")
+    xp._count(args.trials, "--trials")
     rng = xp.philox_rng(args.seed)
     worst, worst_trial = 0.0, None
     for trial in range(args.trials):
@@ -330,7 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"argument --{dest}: expected one argument")
     try:
         if args.out is not None:  # checked before the work, not after it
-            _path(args.out, "--out")
+            _check_out(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,18 +35,19 @@ def _check_cap(n_qubits: int) -> None:
         raise ValueError(f"{n_qubits} qubits exceeds the dense cap of {DENSE_CAP}")
 
 
-def _signed_permutation(p: PauliOperator, sign: int = 1) -> tuple:
-    """``(perm, factors)`` with ``sign * P|c> = factors[c] |perm[c]>``.
+def _signed_permutation(p: PauliOperator) -> tuple:
+    """``(perm, factors)`` with ``P|c> = factors[c] |perm[c]>``.
 
     ``P = i^phase * prod_j sx^{x_j} sz^{z_j}`` with qubit 1 the most significant
     bit of the basis index c, so with x, z bit-reversed into index order,
-    ``P|c> = i^phase * (-1)^{|c & z|} |c ^ x>``.
+    ``P|c> = i^phase * (-1)^{|c & z|} |c ^ x>``.  A signed observable is
+    passed as it is: its sign is part of its phase.
     """
     n = p.n_qubits
     _check_cap(n)
     x, z = (int(format(v.mask, f"0{n}b")[::-1], 2) for v in (p.x, p.z))
     c, parity_signs = _parity_table(n)
-    factors = parity_signs[c & z] * (sign * _POWERS_OF_I[p.phase])
+    factors = parity_signs[c & z] * _POWERS_OF_I[p.phase]
     return c ^ x, factors
 
 
@@ -71,8 +72,8 @@ def pauli_term_matrix(p: PauliOperator) -> DenseOperator:
 
 
 def pauli_matrix(obs: SignedObservable) -> DenseOperator:
-    """Dense matrix of a signed observable (its canonical base times the sign)."""
-    return obs.sign * pauli_term_matrix(obs.base)
+    """Dense matrix of a signed observable, whose phase carries its sign."""
+    return pauli_term_matrix(obs)
 
 
 def state_from_axioms(axioms) -> DenseState:
@@ -102,11 +103,12 @@ def state_from_axioms(axioms) -> DenseState:
     _check_cap(n)
     if any(sign not in (1, -1) for _, sign in pairs):
         raise ValueError("axiom signs must be +1 or -1")
-    bases = [from_proposition(vector).base for vector, _ in pairs]  # rejects odd lengths
+    # from_proposition rejects odd lengths
+    observables = [SignedObservable(from_proposition(v), s) for v, s in pairs]
     masks = [vector.mask for vector, _ in pairs]
     if not _commute_pairwise(masks, n):
         raise ValueError("axioms not co-measurable")
-    actions = [_signed_permutation(b, sign) for b, (_, sign) in zip(bases, pairs)]
+    actions = [_signed_permutation(o) for o in observables]
     size, low = 2 ** n, (1 << n) - 1
     rows, support = [], np.ones(size, dtype=bool)
     for i, mask in enumerate(masks):
@@ -161,7 +163,7 @@ def distribution(
             raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
     if not _commute_pairwise([o.vector.mask for o in obs_list], n):
         raise ValueError("not co-measurable")
-    actions = [_signed_permutation(o.base, o.sign) for o in obs_list]
+    actions = [_signed_permutation(o) for o in obs_list]
     outcomes = {}
 
     def walk(vec: np.ndarray, index: int, signs: tuple):

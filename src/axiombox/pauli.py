@@ -2,10 +2,10 @@
 
 A raw :class:`PauliOperator` is ``i^phase * prod_j sx^{x_j} sz^{z_j}`` with
 the phase kept as an integer exponent mod 4, so products and conjugations are
-exact integer arithmetic.  Measurable quantities are
-:class:`SignedObservable`s: a Hermitian canonical form (per-qubit factor
-``i^{x_j z_j} sx^{x_j} sz^{z_j}``, which is I, X, Y or Z) times an explicit
-sign of +1 or -1.
+exact integer arithmetic.  Measurable quantities are :class:`SignedObservable`s,
+the Hermitian operators +-C(v), C(v) the canonical form with per-qubit factor
+``i^{x_j z_j} sx^{x_j} sz^{z_j}`` (I, X, Y or Z).  The sign is part of the phase,
+-C(v) = i^{h(v)+2} sx^x sz^z with h(v) the count of Y factors.
 
 An operator is stored as one 2N-bit (x|z) int mask in the :mod:`gf2` layout,
 the vector J = (alpha|beta) of the paper: products, commutation, the
@@ -56,10 +56,10 @@ class PauliOperator:
 
     @classmethod
     def from_vector(cls, v: BitVector, phase: int = 0) -> "PauliOperator":
-        """Build from a 2N-bit (x-part | z-part) vector."""
+        """A plain PauliOperator, any phase allowed, from a 2N-bit (x|z) vector."""
         if len(v) % 2:
             raise ValueError(f"cannot halve a vector of odd length {len(v)}")
-        return cls._from_mask(v.mask, len(v) // 2, operator.index(phase))
+        return PauliOperator._from_mask(v.mask, len(v) // 2, operator.index(phase))
 
     @property
     def x(self) -> BitVector:
@@ -144,61 +144,48 @@ def _canonical_phase(mask: int, n: int) -> int:
     return (mask & mask >> n).bit_count() % 4
 
 
-class SignedObservable:
-    """A Hermitian Pauli observable: canonical base times a sign of +-1."""
+class SignedObservable(PauliOperator):
+    """A Hermitian Pauli observable, ``sign`` times the canonical form C(v), as
+    the one operator of phase h(v) for sign +1 and h(v) + 2 for sign -1, h(v)
+    the count of Y factors; ``sign`` and the canonical ``base`` are views."""
 
-    __slots__ = ("_base", "_sign")
+    __slots__ = ()
 
     def __init__(self, base: PauliOperator, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if base.phase != _canonical_phase(base._mask, base._n):
+        canon = _canonical_phase(base._mask, base._n)
+        if base.phase != canon:
             raise ValueError(
                 "base is not in canonical Hermitian form; "
                 "use SignedObservable.from_pauli to normalize"
             )
-        self._base = base
-        self._sign = sign
+        self._set(base._mask, base._n, canon + 1 - sign)
 
     @classmethod
     def from_pauli(cls, p: PauliOperator, sign: int = 1) -> "SignedObservable":
-        """Normalize any Hermitian PauliOperator into canonical-base form."""
+        """``sign`` times any Hermitian PauliOperator."""
         if not p.is_hermitian():
             raise ValueError(f"operator is not Hermitian: {p!r}")
-        canon = _canonical_phase(p._mask, p._n)
-        flip = 1 if p.phase == canon else -1
-        return cls(PauliOperator._from_mask(p._mask, p._n, canon), sign * flip)
+        flip = 1 if p.phase == _canonical_phase(p._mask, p._n) else -1
+        return _observable(p._mask, p._n, sign * flip)
 
     @classmethod
     def identity(cls, n_qubits: int, sign: int = 1) -> "SignedObservable":
-        return cls(PauliOperator.identity(n_qubits), sign)
+        return _observable(0, n_qubits, sign)
 
     @property
     def base(self) -> PauliOperator:
-        return self._base
+        """The canonical form C(v), built on each read."""
+        mask, n = self._mask, self._n
+        return PauliOperator._from_mask(mask, n, _canonical_phase(mask, n))
 
     @property
     def sign(self) -> int:
-        return self._sign
-
-    @property
-    def n_qubits(self) -> int:
-        return self._base.n_qubits
-
-    @property
-    def vector(self) -> BitVector:
-        return self._base.vector
+        return 1 - (self._phase - _canonical_phase(self._mask, self._n)) % 4
 
     def negated(self) -> "SignedObservable":
-        return SignedObservable(self._base, -self._sign)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedObservable):
-            return NotImplemented
-        return self._base == other._base and self._sign == other._sign
-
-    def __hash__(self) -> int:
-        return hash((self._base, self._sign))
+        return SignedObservable._from_mask(self._mask, self._n, self._phase + 2)
 
     def __str__(self) -> str:
         return format_observable(self)
@@ -220,21 +207,19 @@ def from_proposition(j: BitVector) -> SignedObservable:
 def _observable(mask: int, n: int, sign: int = 1) -> SignedObservable:
     """``sign`` times C(mask), the canonical Hermitian Pauli of a 2n-bit (x|z)
     mask: the observable :func:`parse_observable`, :func:`from_proposition`
-    and a tableau's ``generators`` build, straight from the mask.  The base
+    and a tableau's ``generators`` build, straight from the mask.  Its phase
     is canonical by construction, so only the sign is checked."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    obs = SignedObservable.__new__(SignedObservable)
-    obs._base = PauliOperator._from_mask(mask, n, _canonical_phase(mask, n))
-    obs._sign = sign
-    return obs
+    return SignedObservable._from_mask(mask, n, _canonical_phase(mask, n) + 1 - sign)
 
 
 def observable_product(a: SignedObservable, b: SignedObservable) -> SignedObservable:
-    """Product of two commuting observables, sign tracked exactly."""
-    if not commutes(a.base, b.base):
+    """Product of two commuting observables: :func:`multiply`'s exact phase."""
+    if not commutes(a, b):
         raise ValueError("observables anticommute; their product is not Hermitian")
-    return SignedObservable.from_pauli(multiply(a.base, b.base), a.sign * b.sign)
+    p = multiply(a, b)
+    return SignedObservable._from_mask(p._mask, p._n, p._phase)
 
 
 def conjugate_by_blackbox(
@@ -248,7 +233,7 @@ def conjugate_by_blackbox(
     """
     if obs.n_qubits != cfg.n:
         raise ValueError(f"size mismatch: {obs.n_qubits} qubits vs {cfg.n} functions")
-    return obs.negated() if _parity(obs._base._mask, cfg) else obs
+    return obs.negated() if _parity(obs._mask, cfg) else obs
 
 
 def parse_observable(text: str) -> SignedObservable:
@@ -270,6 +255,6 @@ def parse_observable(text: str) -> SignedObservable:
 
 
 def format_observable(obs: SignedObservable) -> str:
-    mask, n = obs.base._mask, obs.base._n
+    mask, n = obs._mask, obs._n
     letters = "".join("IXZY"[(mask >> j & 1) | (mask >> n + j & 1) << 1] for j in range(n))
     return ("+" if obs.sign == 1 else "-") + letters

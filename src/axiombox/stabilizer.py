@@ -443,13 +443,12 @@ def _measure_deferred(
     post-state is ``t``, and otherwise the arguments of the :func:`_collapse`
     that gives the post-state.  Only XORs touch the sign bits, so they may be
     affine forms (see :func:`_outcome_set`)."""
-    n, base = t._n, obs._base
-    if base._n != n:
-        raise ValueError(f"size mismatch: {base._n} vs {n} qubits")
-    ov = base._mask
+    n, ov = t._n, obs._mask
+    if obs._n != n:
+        raise ValueError(f"size mismatch: {obs._n} vs {n} qubits")
     swapped = _swap_halves(ov, n)  # <ov, g> is the parity of swapped & g
     q, definite = _scan(t, ov, swapped)
-    negative = int(obs._sign < 0)
+    negative = int(obs.sign < 0)
     if q is None:
         _, sign, phase = definite
         return negative ^ sign ^ phase, MeasurementKind.DETERMINISTIC, ()
@@ -513,9 +512,9 @@ def _outcome_set(
     only when another observable follows to read its post-state."""
     n = t._n
     for obs in obs_list:
-        if obs.n_qubits != n:
-            raise ValueError(f"size mismatch: {obs.n_qubits} vs {n} qubits")
-    if not _commute_pairwise([o.base._mask for o in obs_list], n):
+        if obs._n != n:
+            raise ValueError(f"size mismatch: {obs._n} vs {n} qubits")
+    if not _commute_pairwise([o._mask for o in obs_list], n):
         raise ValueError("not co-measurable")
 
     fresh = (2 << i for i in itertools.count()).__next__

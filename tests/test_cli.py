@@ -10,6 +10,36 @@ GHZ_AXIOM_FILE = "-YYX\n-YXY\n-XYY\n"
 BELL_AXIOM_FILE = "+ZZ\n+XX\n"
 
 
+# Each (subcommand, file option) pair, the option's file named by "{bad}".
+FILE_OPTIONS = [
+    (["prepare", "--axioms", "{bad}"], "--axioms"),
+    (["blackbox", "--state", "{bad}", "--config", "{cfg}"], "--state"),
+    (["blackbox", "--state", "{bell}", "--config", "{bad}"], "--config"),
+    (["check", "--axioms", "{bad}", "--prop", "ZZ"], "--axioms"),
+    (["measure", "--state", "{bad}", "--obs", "ZI"], "--state"),
+    (["sample", "--state", "{bad}", "--obs", "ZI"], "--state"),
+    (["enumerate", "--axioms", "{bad}"], "--axioms"),
+    (["ghz-demo", "--config", "{bad}"], "--config"),
+    (["q1-demo", "--config", "{bad}"], "--config"),
+    (["q2-demo", "--config", "{bad}"], "--config"),
+]
+
+# One argument list that parses for each subcommand.
+EVERY_SUBCOMMAND = [
+    ["prepare", "--axioms", "a"],
+    ["blackbox", "--state", "s", "--config", "c"],
+    ["check", "--axioms", "a", "--prop", "ZZ"],
+    ["measure", "--state", "s", "--obs", "ZI"],
+    ["sample", "--state", "s", "--obs", "ZI"],
+    ["enumerate", "--n", "3"],
+    ["ghz-demo"],
+    ["q1-demo"],
+    ["q2-demo"],
+    ["oracle-compare", "--n", "12", "--trials", "20"],
+    ["decay-study"],
+]
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -124,21 +154,7 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {option} is an empty path\n"
 
-    @pytest.mark.parametrize(
-        "argv, option",
-        [
-            (["prepare", "--axioms", "{bad}"], "--axioms"),
-            (["blackbox", "--state", "{bad}", "--config", "{cfg}"], "--state"),
-            (["blackbox", "--state", "{bell}", "--config", "{bad}"], "--config"),
-            (["check", "--axioms", "{bad}", "--prop", "ZZ"], "--axioms"),
-            (["measure", "--state", "{bad}", "--obs", "ZI"], "--state"),
-            (["sample", "--state", "{bad}", "--obs", "ZI"], "--state"),
-            (["enumerate", "--axioms", "{bad}"], "--axioms"),
-            (["ghz-demo", "--config", "{bad}"], "--config"),
-            (["q1-demo", "--config", "{bad}"], "--config"),
-            (["q2-demo", "--config", "{bad}"], "--config"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, option", FILE_OPTIONS)
     def test_non_utf8_file_names_its_option(self, tmp_path, capsys, argv, option):
         bell = tmp_path / "bell.tab"
         bell.write_text(BELL_AXIOM_FILE)
@@ -150,6 +166,48 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == f"error: {option} {bad} is not UTF-8 text: invalid start byte at byte 4\n"
+
+    @pytest.mark.parametrize(
+        "unreadable, reason",
+        [("", "Is a directory"), ("missing.txt", "No such file or directory")],
+    )
+    @pytest.mark.parametrize("argv, option", FILE_OPTIONS)
+    def test_unreadable_file_names_its_option(
+        self, tmp_path, capsys, argv, option, unreadable, reason
+    ):
+        bell = tmp_path / "bell.tab"
+        bell.write_text(BELL_AXIOM_FILE)
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("y0\ny0\n")
+        bad = tmp_path / unreadable
+        code, out, err = run(capsys, *[a.format(bell=bell, cfg=cfg, bad=bad) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {option} {bad} cannot be read: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("{tmp}", "is a directory"),
+            ("{tmp}/missing/out.txt", "is not in an existing directory"),
+            ("{tmp}/file.txt/out.txt", "is not in an existing directory"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
+    def test_bad_out_is_rejected_before_the_work(
+        self, tmp_path, capsys, monkeypatch, argv, target, message
+    ):
+        ran = []
+        for name in dir(cli):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, lambda args: ran.append(args.command) or 0)
+        (tmp_path / "file.txt").write_text("")
+        target = target.format(tmp=tmp_path)
+        code, out, err = run(capsys, *argv, "--out", target)
+        assert (code, out, ran) == (1, "", [])
+        assert err == f"error: --out {target} {message}\n"
+        assert run(capsys, *argv, "--out", str(tmp_path / "out.txt"))[0] == 0
+        assert ran == [argv[0]]
 
     def test_largest_seed_is_accepted(self, capsys):
         code, out, _ = run(capsys, "q1-demo", "--runs", "10",

@@ -283,7 +283,8 @@ def test_signed_permutation_equals_the_bitwise_loop(n):
         mask = int(rng.integers(0, 1 << 2 * n))
         phase, sign = int(rng.integers(0, 4)), int(rng.choice([1, -1]))
         p = PauliOperator.from_vector(BitVector.from_mask(mask, 2 * n), phase)
-        perm, factors = oracle._signed_permutation(p, sign)
+        signed = PauliOperator.from_vector(p.vector, phase + 1 - sign)  # sign in the phase
+        perm, factors = oracle._signed_permutation(signed)
         want_perm, want_factors = loop_signed_permutation(p, sign)
         assert np.array_equal(perm, want_perm)
         assert np.array_equal(factors, want_factors)

@@ -172,6 +172,40 @@ class TestSignedObservable:
             pauli.observable_product(obs("Z"), obs("X"))
 
 
+class TestChecks:
+    """Each constructor and operation check, with its message."""
+
+    def test_signed_observable_rejects_sign_zero(self):
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1, got 0"):
+            SignedObservable(PauliOperator.identity(1), 0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: PauliOperator.identity(0), lambda: pauli.from_proposition(BitVector(""))],
+    )
+    def test_zero_qubits_rejected(self, build):
+        with pytest.raises(ValueError, match="a Pauli operator needs at least one qubit"):
+            build()
+
+    def test_x_z_length_mismatch(self):
+        with pytest.raises(ValueError, match="x/z length mismatch: 1 vs 2"):
+            PauliOperator(BitVector("1"), BitVector("01"))
+
+    def test_from_vector_rejects_odd_length(self):
+        with pytest.raises(ValueError, match="cannot halve a vector of odd length 3"):
+            PauliOperator.from_vector(BitVector("010"))
+
+    def test_commutes_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch: 1 vs 2"):
+            pauli.commutes(obs("X").base, obs("XX").base)
+
+    def test_signed_observable_hash_and_repr(self):
+        a, b = obs("-XZ"), obs("-xz")
+        assert hash(a) == hash(b)
+        assert len({a, b, obs("+XZ"), obs("-ZX")}) == 3
+        assert repr(a) == "SignedObservable('-XZ')"
+
+
 class TestConjugateByBlackbox:
     def test_z_flips_under_f0_one(self):
         cfg = BlackBoxConfig((BooleanFunction(1, 0),))

@@ -136,6 +136,11 @@ class TestMeasure:
         with pytest.raises(ValueError, match="rng"):
             stab.measure(t, obs("+X"))
 
+    @pytest.mark.parametrize("outcome", [0, 2, -2])
+    def test_forced_outcome_outside_plus_minus_one_rejected(self, outcome):
+        with pytest.raises(ValueError, match=rf"outcome must be \+1 or -1, got {outcome}"):
+            stab.measure_forced(bell_state(), obs("+XI"), outcome)
+
     def test_ghz_yyx_is_minus_one(self):
         result = stab.measure(ghz_state(), obs("+YYX"))
         assert result.kind is MeasurementKind.DETERMINISTIC
@@ -303,6 +308,26 @@ class TestOutcomeDistribution:
     def test_validates_signs(self):
         with pytest.raises(ValueError):
             OutcomeDistribution({(0,): 1.0}, 1)
+
+    def test_validates_sign_vector_length(self):
+        with pytest.raises(ValueError, match=r"sign vector \(1, 1\) has wrong length"):
+            OutcomeDistribution({(1, 1): 1.0}, 1)
+
+    @pytest.mark.parametrize(
+        "other",
+        [OutcomeDistribution({(1, 1): 1.0}, 2), OutcomeDistribution._affine(0, [0b1], 2)],
+    )
+    def test_max_deviation_over_different_counts_raises(self, other):
+        with pytest.raises(ValueError, match="different observable counts"):
+            OutcomeDistribution({(1,): 1.0}, 1).max_deviation(other)
+
+    def test_repr_of_dict_built_and_affine(self):
+        dense = OutcomeDistribution({(1, -1): 0.25, (1, 1): 0.75}, 2)
+        assert repr(dense) == "OutcomeDistribution({++: 0.75, +-: 0.25})"
+        affine = OutcomeDistribution._affine(0b01, [0b10], 2)
+        assert repr(affine) == "OutcomeDistribution({-+: 0.5, --: 0.5})"
+        joint = stab.joint_distribution(bell_state(), [obs("ZI"), obs("IZ")])
+        assert repr(joint) == "OutcomeDistribution({++: 0.5, --: 0.5})"
 
     @pytest.mark.parametrize(
         "outcomes",
