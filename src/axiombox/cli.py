@@ -5,6 +5,10 @@ through a black box, classify a proposition, measure, sample, enumerate,
 run the demonstration grids, cross-check the tableau engine against the
 dense oracle, and run the misclassification decay study.
 
+Every subcommand takes ``--seed`` and ``--out``; ``sample``, ``q1-demo`` and
+``q2-demo`` also take ``--runs`` and ``--noise``, and ``decay-study`` takes
+``--noise``.  Any other option is a usage error.
+
 Exit codes: 0 success, 1 domain error (invalid axioms, size mismatches,
 oracle disagreement), 2 usage error.
 
@@ -37,9 +41,11 @@ def _path(value: str, option: str) -> Path:
 
 
 def _read_text(value: str, option: str) -> str:
-    """An option's file as UTF-8 text; each error names the option and the path."""
+    """An option's file as UTF-8 text, less one leading byte-order mark; each
+    error names the option and the path.  The mark is dropped after decoding,
+    so the byte an error names is still counted from the start of the file."""
     try:
-        return _path(value, option).read_text(encoding="utf-8")
+        return _path(value, option).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         reason = f"{exc.reason} at byte {exc.start}"
         raise ValueError(f"{option} {value} is not UTF-8 text: {reason}") from None
@@ -140,7 +146,7 @@ def cmd_sample(args) -> int:
         tableau, observables, args.runs, args.seed, xp.NoiseModel(flip_prob=args.noise)
     )
     basis_label = ";".join(str(o) for o in observables)
-    rows = xp.record_rows(Path(args.state).stem, basis_label, record, len(observables))
+    rows = xp.record_rows(Path(args.state).stem, basis_label, record)
     comment = (
         f"sample state={Path(args.state).name} obs={args.obs} "
         f"runs={args.runs} seed={args.seed} flip_prob={args.noise}"
@@ -256,78 +262,78 @@ def cmd_decay_study(args) -> int:
     return 0
 
 
+# The options that subcommands share, each defined once, in help order.
+_SHARED_OPTIONS = {
+    "--seed": {"type": int, "default": 42, "help": "master RNG seed"},
+    "--runs": {"type": int, "default": 10000, "help": "samples per record"},
+    "--noise": {"type": float, "default": 0.0, "help": "outcome bit-flip probability"},
+    "--out": {"default": None, "help": "output path (default stdout)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="axiombox",
         description="Stabilizer encoding of Boolean-function axioms: "
         "dependence checks, measurements, demos, and oracle cross-checks.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="master RNG seed")
-    common.add_argument("--runs", type=int, default=10000, help="samples per record")
-    common.add_argument(
-        "--noise", type=float, default=0.0, help="outcome bit-flip probability"
-    )
-    common.add_argument("--out", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", parents=[common], help="tableau from an axiom file")
-    p.add_argument("--axioms", required=True, help="file of signed Pauli lines")
-    p.set_defaults(func=cmd_prepare)
+    def add(name: str, func, summary: str, *shared: str) -> argparse.ArgumentParser:
+        """A subcommand that takes --seed, --out and the ``shared`` options."""
+        p = sub.add_parser(name, help=summary)
+        for option, spec in _SHARED_OPTIONS.items():
+            if option in ("--seed", "--out", *shared):
+                p.add_argument(option, **spec)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("blackbox", parents=[common], help="apply a black box")
+    p = add("prepare", cmd_prepare, "tableau from an axiom file")
+    p.add_argument("--axioms", required=True, help="file of signed Pauli lines")
+
+    p = add("blackbox", cmd_blackbox, "apply a black box")
     p.add_argument("--state", required=True, help="tableau file")
     p.add_argument("--config", required=True, help="black-box config file")
-    p.set_defaults(func=cmd_blackbox)
 
-    p = sub.add_parser("check", parents=[common], help="classify a proposition")
+    p = add("check", cmd_check, "classify a proposition")
     p.add_argument("--axioms", required=True, help="file of signed Pauli lines")
     p.add_argument("--prop", required=True, help="proposition as Pauli letters")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("measure", parents=[common], help="measure one observable")
+    p = add("measure", cmd_measure, "measure one observable")
     p.add_argument("--state", required=True, help="tableau file")
     p.add_argument("--obs", required=True, help="observable as Pauli letters")
-    p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("sample", parents=[common], help="sampled joint measurement")
+    p = add("sample", cmd_sample, "sampled joint measurement", "--runs", "--noise")
     p.add_argument("--state", required=True, help="tableau file")
     p.add_argument("--obs", required=True, help="comma-separated observables")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("enumerate", parents=[common], help="count (in)dependent propositions")
+    p = add("enumerate", cmd_enumerate, "count (in)dependent propositions")
     p.add_argument("--n", type=int, default=None, help="qubit count")
     p.add_argument("--axioms", default=None, help="optional axiom file")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("ghz-demo", parents=[common], help="three-qubit contradiction report")
+    p = add("ghz-demo", cmd_ghz_demo, "three-qubit contradiction report")
     p.add_argument("--config", default=None, help="black-box config file (3 functions)")
     p.add_argument("--labels", default=None, help="labels like y0,y0,y0")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.set_defaults(func=cmd_ghz_demo)
 
-    p = sub.add_parser("q1-demo", parents=[common], help="single-qubit state/basis grid")
+    p = add("q1-demo", cmd_grid_demo, "single-qubit state/basis grid", "--runs", "--noise")
     p.add_argument("--config", default=None, help="config file (1 function)")
     p.add_argument("--labels", default=None, help="label like y1")
-    p.set_defaults(func=cmd_grid_demo)
 
-    p = sub.add_parser("q2-demo", parents=[common], help="Bell-state three-basis grid")
+    p = add("q2-demo", cmd_grid_demo, "Bell-state three-basis grid", "--runs", "--noise")
     p.add_argument("--config", default=None, help="config file (2 functions)")
     p.add_argument("--labels", default=None, help="labels like y2,y2")
-    p.set_defaults(func=cmd_grid_demo)
 
-    p = sub.add_parser("oracle-compare", parents=[common], help="tableau vs dense oracle")
+    p = add("oracle-compare", cmd_oracle_compare, "tableau vs dense oracle")
     p.add_argument("--n", type=int, required=True, help="qubit count")
     p.add_argument("--trials", type=int, default=100, help="random cases")
-    p.set_defaults(func=cmd_oracle_compare)
 
-    p = sub.add_parser("decay-study", parents=[common], help="misclassification decay table")
+    p = add("decay-study", cmd_decay_study, "misclassification decay table", "--noise")
     p.add_argument("--threshold", type=float, default=0.25, help="imbalance threshold")
     p.add_argument(
         "--lengths", default="10,20,40,80", help="comma-separated run lengths"
     )
     p.add_argument("--trials", type=int, default=10000, help="trials per length")
-    p.set_defaults(func=cmd_decay_study)
 
     return parser
 

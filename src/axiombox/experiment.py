@@ -288,9 +288,9 @@ Q2_BASES = (
 )
 
 
-def record_rows(
-    state_label: str, basis_label: str, record: RunRecord, num_obs: int
-) -> List[FrequencyRow]:
+def record_rows(state_label: str, basis_label: str, record: RunRecord) -> List[FrequencyRow]:
+    """One row per outcome of the record's observables, all 2^m of them."""
+    num_obs = len(record.observables)
     rows = []
     for index in range(2 ** num_obs):
         signs = tuple(
@@ -328,7 +328,7 @@ def _grid(states, bases, cfg: BlackBoxConfig, n_runs: int, seed: int, noise) -> 
                 config=cfg,
                 axioms=tuple("+" + s for s in axiom_letters),
             )
-            rows.extend(record_rows(state_label, basis_label, record, len(letters)))
+            rows.extend(record_rows(state_label, basis_label, record))
     return rows
 
 

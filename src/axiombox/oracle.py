@@ -64,16 +64,12 @@ def _parity_table(n: int) -> tuple:
 
 
 def pauli_term_matrix(p: PauliOperator) -> DenseOperator:
-    """Dense matrix of ``i^phase * prod_j sx^{x_j} sz^{z_j}``."""
+    """Dense matrix of ``i^phase * prod_j sx^{x_j} sz^{z_j}``; a signed
+    observable's phase carries its sign."""
     perm, factors = _signed_permutation(p)
     m = np.zeros((len(perm), len(perm)), dtype=complex)
     m[perm, np.arange(len(perm))] = factors
     return m
-
-
-def pauli_matrix(obs: SignedObservable) -> DenseOperator:
-    """Dense matrix of a signed observable, whose phase carries its sign."""
-    return pauli_term_matrix(obs)
 
 
 def state_from_axioms(axioms) -> DenseState:

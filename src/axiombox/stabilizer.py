@@ -151,7 +151,9 @@ class MeasurementResult:
     A random result of :func:`measure` or :func:`measure_forced` holds the
     arguments of its :func:`_collapse` in place of the post-state, runs it on
     the first read of ``post_state`` and keeps the tableau it returns.  The
-    generated ``==``, repr and hash read ``post_state`` like any field.
+    generated ``==`` and repr read ``post_state`` like any field; the
+    generated hash reads it too and raises ``TypeError``, because a
+    :class:`StabilizerTableau` is unhashable.
     """
 
     outcome: int  # +1 or -1

@@ -101,7 +101,7 @@ def test_criterion_3_ghz_contradiction():
     ghz_dense = oracle.state_from_axioms(
         [(pauli.parse_observable(s).vector, 1) for s in ("ZZI", "IZZ", "XXX")]
     )
-    xxx = oracle.pauli_matrix(pauli.parse_observable("+XXX"))
+    xxx = oracle.pauli_term_matrix(pauli.parse_observable("+XXX"))
     for cfg in BlackBoxConfig.all_configs(3):
         report = logic.ghz_report(cfg)
         assert report.classical ^ report.quantum == 1, str(cfg)

@@ -61,6 +61,10 @@ class TestBlackBoxConfig:
         with pytest.raises(ValueError):
             BlackBoxConfig(())
 
+    def test_rejects_entries_that_are_not_functions(self):
+        with pytest.raises(TypeError, match="functions must be BooleanFunction instances"):
+            BlackBoxConfig((1, 2))
+
     def test_all_configs_count(self):
         assert len(list(BlackBoxConfig.all_configs(2))) == 16
 

@@ -1,5 +1,9 @@
 """Subcommand behavior, exit codes, file round-trips, reproducibility."""
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,32 @@ EVERY_SUBCOMMAND = [
     ["oracle-compare", "--n", "12", "--trials", "20"],
     ["decay-study"],
 ]
+
+
+# The options each subcommand takes, --help aside.
+OPTIONS = {
+    "prepare": {"--axioms", "--seed", "--out"},
+    "blackbox": {"--state", "--config", "--seed", "--out"},
+    "check": {"--axioms", "--prop", "--seed", "--out"},
+    "measure": {"--state", "--obs", "--seed", "--out"},
+    "sample": {"--state", "--obs", "--runs", "--noise", "--seed", "--out"},
+    "enumerate": {"--n", "--axioms", "--seed", "--out"},
+    "ghz-demo": {"--config", "--labels", "--json", "--seed", "--out"},
+    "q1-demo": {"--config", "--labels", "--runs", "--noise", "--seed", "--out"},
+    "q2-demo": {"--config", "--labels", "--runs", "--noise", "--seed", "--out"},
+    "oracle-compare": {"--n", "--trials", "--seed", "--out"},
+    "decay-study": {"--threshold", "--lengths", "--trials", "--noise", "--seed", "--out"},
+}
+
+# --runs and --noise on each subcommand that does not read them: 15 pairs.
+UNREAD_OPTIONS = [
+    (argv, option)
+    for option in ("--runs", "--noise")
+    for argv in EVERY_SUBCOMMAND
+    if option not in OPTIONS[argv[0]]
+]
+
+BOM = b"\xef\xbb\xbf"
 
 
 def run(capsys, *argv):
@@ -332,6 +362,10 @@ class TestEnumerate:
         assert err == "error: enumerate takes --n or --axioms, not both\n"
 
 
+# ghz-demo is exact and takes no --runs.
+FEW_RUNS = {"ghz-demo": [], "q1-demo": ["--runs", "10"], "q2-demo": ["--runs", "10"]}
+
+
 class TestDemos:
     def test_ghz_demo_text(self, capsys):
         code, out, _ = run(capsys, "ghz-demo")
@@ -366,7 +400,7 @@ class TestDemos:
     @pytest.mark.parametrize("demo", ["ghz-demo", "q1-demo", "q2-demo"])
     @pytest.mark.parametrize("flag", ["--labels", "--config"])
     def test_empty_labels_or_config_is_exit_one(self, capsys, demo, flag):
-        code, out, err = run(capsys, demo, flag, "", "--runs", "10")
+        code, out, err = run(capsys, demo, flag, "", *FEW_RUNS[demo])
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -378,7 +412,7 @@ class TestDemos:
         config = tmp_path / "box.cfg"
         config.write_text(labels.replace(",", "\n"))
         code, out, err = run(capsys, demo, "--config", str(config), "--labels", labels,
-                             "--runs", "10")
+                             *FEW_RUNS[demo])
         assert code == 1
         assert out == ""
         assert err == f"error: {demo} takes --config or --labels, not both\n"
@@ -497,3 +531,101 @@ def test_dash_dash_as_option_value_is_usage_error(capsys, argv):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert f"argument --{argv[-1][2:-3]}: expected one argument" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_only_its_options():
+    subcommands = next(
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    taken = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in subcommands.items()
+    }
+    assert taken == OPTIONS
+    assert len(UNREAD_OPTIONS) == 15
+
+
+@pytest.mark.parametrize(
+    "argv, option", UNREAD_OPTIONS, ids=[f"{a[0]} {o}" for a, o in UNREAD_OPTIONS]
+)
+def test_option_a_subcommand_does_not_read_is_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, option, "1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {option} 1\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["prepare", "--axioms", "{f}"], BELL_AXIOM_FILE),
+        (["check", "--axioms", "{f}", "--prop", "XXX"], GHZ_AXIOM_FILE),
+        (["measure", "--state", "{f}", "--obs", "ZZ"], BELL_AXIOM_FILE),
+        (["sample", "--state", "{f}", "--obs", "ZI,IZ", "--runs", "50"], BELL_AXIOM_FILE),
+        (["blackbox", "--state", "{bell}", "--config", "{f}"], "y2\ny1\n"),
+        (["ghz-demo", "--config", "{f}"], "y1\ny2\ny3\n"),
+    ],
+    ids=["prepare --axioms", "check --axioms", "measure --state", "sample --state",
+         "blackbox --config", "ghz-demo --config"],
+)
+def test_byte_order_mark_is_dropped(tmp_path, capsys, argv, text):
+    bell = tmp_path / "bell.tab"
+    bell.write_text(BELL_AXIOM_FILE)
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "marked").mkdir()
+    plain, marked = tmp_path / "plain" / "f.txt", tmp_path / "marked" / "f.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    want = run(capsys, *[a.format(bell=bell, f=plain) for a in argv])
+    assert want[0] == 0
+    assert run(capsys, *[a.format(bell=bell, f=marked) for a in argv]) == want
+
+
+def test_byte_order_mark_counts_in_the_offset_of_a_bad_byte(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(BOM + b"+ZZ\n\xff\n")
+    code, out, err = run(capsys, "prepare", "--axioms", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: --axioms {bad} is not UTF-8 text: invalid start byte at byte 7\n"
+
+
+def test_out_dash_writes_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("bell.axioms").write_text(BELL_AXIOM_FILE)
+    code, out, err = run(capsys, "prepare", "--axioms", "bell.axioms", "--out", "-")
+    assert (code, out, err) == (0, BELL_AXIOM_FILE, "")
+    assert not Path("-").exists()
+
+
+def readme_example():
+    """The lines of the README's first ``sh`` block under "## CLI"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S)
+    return block.group(1).splitlines()
+
+
+def test_readme_example_runs(tmp_path, capsys, monkeypatch):
+    """Each printf line writes its file, each axiombox line exits 0, and a
+    "# ->" comment, on the command's line or the next, is what it printed."""
+    monkeypatch.chdir(tmp_path)
+    printed, checked = None, 0
+    for line in readme_example():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["printf"]:
+            *_, body, redirect, target = words
+            assert redirect == ">" and "\\" not in body.replace("\\n", ""), line
+            Path(target).write_text(body.replace("\\n", "\n"))
+        elif words:
+            assert words[0] == "axiombox", line
+            code, printed, err = run(capsys, *words[1:])
+            assert (code, err) == (0, ""), line
+        want = re.search(r"#\s*->\s*(.*)$", line)
+        if want:
+            assert printed == want.group(1) + "\n", line
+            checked += 1
+    assert checked == 3

@@ -80,6 +80,10 @@ class TestSample:
         with pytest.raises(ValueError):
             xp.sample(z_plus(), [obs("+Z")], 0, seed=1)
 
+    def test_no_observables_rejected(self):
+        with pytest.raises(ValueError, match="at least one observable is required"):
+            xp.sample(z_plus(), [], 10, seed=1)
+
     def test_non_integer_runs_rejected(self):
         with pytest.raises(TypeError, match="^n_runs must be an integer, got 10.0$"):
             xp.sample(z_plus(), [obs("+Z")], 10.0, seed=1)

@@ -101,6 +101,49 @@ class TestBitVector:
     def test_unit(self):
         assert BitVector.unit(2, 4) == BitVector("0010")
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BitVector.from_mask(-1, 4), "mask -0x1 does not fit in 4 bits"),
+            (lambda: BitVector.from_mask(16, 4), "mask 0x10 does not fit in 4 bits"),
+            (lambda: BitVector.unit(4, 4), "index 4 out of range for length 4"),
+            (lambda: BitVector.unit(-1, 4), "index -1 out of range for length 4"),
+        ],
+    )
+    def test_out_of_range_build_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(IndexError):
+            BitVector("01")[index]
+
+    def test_copy_hash_and_repr(self):
+        v = BitVector("0110")
+        assert BitVector(v) == v == BitVector.from_mask(0b0110, 4)
+        assert hash(BitVector(v)) == hash(v)
+        assert len({v, BitVector("0110"), BitVector("011"), BitVector("0111")}) == 3
+        assert repr(v) == "BitVector('0110')"
+
+
+class TestBitMatrix:
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="^ragged rows: expected 2 columns, got 3$"):
+            BitMatrix(["01", "011"])
+
+    def test_no_rows_have_no_columns(self):
+        m = BitMatrix([])
+        assert (m.num_rows, m.num_cols) == (0, 0)
+
+    def test_repr(self):
+        assert repr(BitMatrix(["01", "11"])) == "BitMatrix(['01', '11'])"
+        assert repr(BitMatrix([])) == "BitMatrix([])"
+
+    @pytest.mark.parametrize("value", [BitVector("01"), BitMatrix(["01"])])
+    def test_unequal_to_a_foreign_type(self, value):
+        assert value != "01" and not value == (0, 1)
+
 
 class TestRank:
     def test_identity(self):

@@ -51,6 +51,11 @@ class TestAxiomSet:
             AxiomSet([prop("ZI").vector, prop("ZI").vector], [0, 0])
         with pytest.raises(ValueError):
             AxiomSet([prop("ZZ").vector], [0])  # one vector for two qubits
+        with pytest.raises(ValueError, match="one parity bit per axiom vector"):
+            AxiomSet([prop("ZZ").vector, prop("XX").vector], [0])
+
+    def test_proposition_qubit_count(self):
+        assert prop("XYZ").n_qubits == 3
 
 
 class TestClassify:

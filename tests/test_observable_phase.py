@@ -22,7 +22,7 @@ def check_form(o):
     assert o.base.phase == canon % 4 and type(o.base) is PauliOperator
     if o.n_qubits <= 3:
         assert np.array_equal(
-            oracle.pauli_matrix(o), o.sign * oracle.pauli_term_matrix(o.base)
+            oracle.pauli_term_matrix(o), o.sign * oracle.pauli_term_matrix(o.base)
         )
 
 
@@ -73,8 +73,8 @@ def test_observable_product_of_every_commuting_pair(n):
                 check_form(product)
                 assert product == pauli.multiply(a, b)
                 assert np.array_equal(
-                    oracle.pauli_matrix(product),
-                    oracle.pauli_matrix(a) @ oracle.pauli_matrix(b),
+                    oracle.pauli_term_matrix(product),
+                    oracle.pauli_term_matrix(a) @ oracle.pauli_term_matrix(b),
                 )
 
 
@@ -123,7 +123,7 @@ def test_an_observable_is_the_operator_it_denotes():
     assert (plus_y.x, plus_y.z, plus_y.phase) == (BitVector("1"), BitVector("1"), 1)
     assert np.array_equal(
         oracle.pauli_term_matrix(pauli.multiply(minus_z, plus_y)),
-        oracle.pauli_matrix(minus_z) @ oracle.pauli_matrix(plus_y),
+        oracle.pauli_term_matrix(minus_z) @ oracle.pauli_term_matrix(plus_y),
     )
     assert pauli.commutes(minus_z, plus_y) == 0
 

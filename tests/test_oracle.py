@@ -15,16 +15,16 @@ def obs(text):
 class TestPauliMatrix:
     def test_sigma_z(self):
         np.testing.assert_allclose(
-            oracle.pauli_matrix(obs("+Z")), np.diag([1.0, -1.0])
+            oracle.pauli_term_matrix(obs("+Z")), np.diag([1.0, -1.0])
         )
 
     def test_sigma_y(self):
         np.testing.assert_allclose(
-            oracle.pauli_matrix(obs("+Y")), np.array([[0, -1j], [1j, 0]])
+            oracle.pauli_term_matrix(obs("+Y")), np.array([[0, -1j], [1j, 0]])
         )
 
     def test_minus_xxx_antidiagonal(self):
-        m = oracle.pauli_matrix(obs("-XXX"))
+        m = oracle.pauli_term_matrix(obs("-XXX"))
         np.testing.assert_allclose(m, -np.fliplr(np.eye(8)))
 
     def test_hermitian_and_involutory(self):
@@ -36,13 +36,13 @@ class TestPauliMatrix:
             o = pauli.SignedObservable(
                 pauli.from_proposition(BitVector.from_mask(mask, 2 * n)).base, sign
             )
-            m = oracle.pauli_matrix(o)
+            m = oracle.pauli_term_matrix(o)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
             np.testing.assert_allclose(m @ m, np.eye(2 ** n), atol=1e-12)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="dense cap"):
-            oracle.pauli_matrix(pauli.SignedObservable.identity(13))
+            oracle.pauli_term_matrix(pauli.SignedObservable.identity(13))
 
     def test_respects_multiply_with_phase(self):
         rng = np.random.default_rng(22)
@@ -139,7 +139,7 @@ class TestStateFromAxioms:
             state = oracle.state_from_axioms(axioms)
             assert abs(np.linalg.norm(state) - 1.0) < 1e-12
             for vector, sign in axioms:
-                omega = oracle.pauli_matrix(pauli.from_proposition(vector))
+                omega = oracle.pauli_term_matrix(pauli.from_proposition(vector))
                 np.testing.assert_allclose(
                     omega @ state, sign * state, atol=1e-12
                 )

@@ -372,14 +372,13 @@ def test_term_matrix_equals_kron_for_every_pauli(n):
         assert np.array_equal(oracle.pauli_term_matrix(p), kron_term_matrix(p))
         if p.is_hermitian():
             obs = pauli.SignedObservable.from_pauli(p)
-            assert np.array_equal(oracle.pauli_matrix(obs), kron_pauli_matrix(obs))
+            assert np.array_equal(oracle.pauli_term_matrix(obs), kron_pauli_matrix(obs))
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: oracle.pauli_term_matrix(PauliOperator.identity(13)),
-        lambda: oracle.pauli_matrix(pauli.SignedObservable.identity(13)),
         lambda: oracle.state_from_axioms(
             [(BitVector.unit(13 + q, 26), 1) for q in range(13)]
         ),
@@ -387,7 +386,7 @@ def test_term_matrix_equals_kron_for_every_pauli(n):
             np.ones(2 ** 13), [pauli.SignedObservable.identity(13)]
         ),
     ],
-    ids=["pauli_term_matrix", "pauli_matrix", "state_from_axioms", "distribution"],
+    ids=["pauli_term_matrix", "state_from_axioms", "distribution"],
 )
 def test_dense_cap_at_thirteen_qubits(call):
     with pytest.raises(ValueError, match="13 qubits exceeds the dense cap of 12"):

@@ -40,11 +40,11 @@ class TestFromProposition:
     def test_z_from_01(self):
         o = pauli.from_proposition(BitVector("01"))
         assert o.sign == 1
-        np.testing.assert_allclose(oracle.pauli_matrix(o), SZ)
+        np.testing.assert_allclose(oracle.pauli_term_matrix(o), SZ)
 
     def test_y_from_11(self):
         o = pauli.from_proposition(BitVector("11"))
-        np.testing.assert_allclose(oracle.pauli_matrix(o), SY)
+        np.testing.assert_allclose(oracle.pauli_term_matrix(o), SY)
 
     def test_identity_from_zero(self):
         o = pauli.from_proposition(BitVector("0000"))
@@ -91,7 +91,7 @@ class TestMultiply:
         assert p.z.to_tuple() == (0, 0, 0)
         assert p.phase == 2
         np.testing.assert_allclose(
-            oracle.pauli_term_matrix(p), -oracle.pauli_matrix(obs("XXX")), atol=1e-12
+            oracle.pauli_term_matrix(p), -oracle.pauli_term_matrix(obs("XXX")), atol=1e-12
         )
 
     def test_size_mismatch(self):
@@ -159,7 +159,7 @@ class TestSignedObservable:
         minus_y = PauliOperator(BitVector("1"), BitVector("1"), 3)  # i^3 sx sz = -Y
         o = SignedObservable.from_pauli(minus_y)
         assert o.sign == -1
-        np.testing.assert_allclose(oracle.pauli_matrix(o), -SY)
+        np.testing.assert_allclose(oracle.pauli_term_matrix(o), -SY)
 
     def test_from_pauli_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -205,6 +205,9 @@ class TestChecks:
         assert len({a, b, obs("+XZ"), obs("-ZX")}) == 3
         assert repr(a) == "SignedObservable('-XZ')"
 
+    def test_unequal_to_a_foreign_type(self):
+        assert obs("X").base != "X" and obs("-X") != "-X"
+
 
 class TestConjugateByBlackbox:
     def test_z_flips_under_f0_one(self):
@@ -232,8 +235,8 @@ class TestConjugateByBlackbox:
                 o = pauli.from_proposition(BitVector.from_mask(mask, 2 * n))
                 conjugated = pauli.conjugate_by_blackbox(o, cfg)
                 np.testing.assert_allclose(
-                    u @ oracle.pauli_matrix(o) @ u.conj().T,
-                    oracle.pauli_matrix(conjugated),
+                    u @ oracle.pauli_term_matrix(o) @ u.conj().T,
+                    oracle.pauli_term_matrix(conjugated),
                     atol=1e-12,
                 )
 

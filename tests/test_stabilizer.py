@@ -148,7 +148,7 @@ class TestMeasure:
 
     def test_ghz_dense_expectation_matches(self):
         state = oracle.state_from_axioms([(vec(s), 1) for s, _ in GHZ])
-        m = oracle.pauli_matrix(obs("+YYX"))
+        m = oracle.pauli_term_matrix(obs("+YYX"))
         assert abs(np.vdot(state, m @ state) - (-1.0)) < 1e-12
 
     def test_identity_observable(self):
@@ -198,7 +198,7 @@ class TestMeasure:
             if result.kind is not MeasurementKind.RANDOM:
                 continue
             psi = oracle.state_from_axioms(axioms)
-            projected = (psi + result.outcome * oracle.pauli_matrix(o) @ psi) / 2.0
+            projected = (psi + result.outcome * oracle.pauli_term_matrix(o) @ psi) / 2.0
             projected = projected / np.linalg.norm(projected)
             collapsed = oracle.state_from_axioms(
                 [(g.vector, g.sign) for g in result.post_state.generators]
@@ -305,6 +305,11 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError, match="sum"):
             OutcomeDistribution({(1,): 0.7}, 1)
 
+    def test_num_observables_and_foreign_type(self):
+        dist = OutcomeDistribution({(1, 1): 1.0}, 2)
+        assert dist.num_observables == 2
+        assert dist != {(1, 1): 1.0}
+
     def test_validates_signs(self):
         with pytest.raises(ValueError):
             OutcomeDistribution({(0,): 1.0}, 1)
@@ -341,6 +346,7 @@ class TestOutcomeDistribution:
 class TestTextFormat:
     def test_roundtrip(self):
         t = ghz_state()
+        assert t != t.to_text()
         again = stab.StabilizerTableau.from_text(t.to_text())
         assert [str(g) for g in again.generators] == ["+ZZI", "+IZZ", "+XXX"]
 
