@@ -142,6 +142,7 @@ def cmd_sample(args) -> int:
             f"--obs lists {len(observables)} observables, whose "
             f"2^{len(observables)} outcome rows exceed {xp._RUN_CAP}"
         )
+    xp._count(args.runs, "--runs")
     record = xp.sample(
         tableau, observables, args.runs, args.seed, xp.NoiseModel(flip_prob=args.noise)
     )
@@ -193,6 +194,7 @@ def cmd_grid_demo(args) -> int:
     grids = {"q1-demo": (1, xp.reproduce_q1), "q2-demo": (2, xp.reproduce_q2)}
     n, reproduce = grids[args.command]
     cfg = _config_from_args(args, n)
+    xp._count(args.runs, "--runs")
     rows = reproduce(cfg, args.runs, args.seed, xp.NoiseModel(flip_prob=args.noise))
     comment = (
         f"{args.command} config={cfg} runs={args.runs} seed={args.seed} "
@@ -253,6 +255,7 @@ def cmd_decay_study(args) -> int:
 
     lengths = _parse_lengths(args.lengths)
     noise = xp.NoiseModel(flip_prob=args.noise)
+    xp._count(args.trials, "--trials")
     rows = xp.decay_study(noise, lengths, args.trials, args.seed, args.threshold)
     comment = (
         f"decay-study flip_prob={args.noise} threshold={args.threshold} "

@@ -9,8 +9,10 @@ any order (or concurrently) without changing the output.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
@@ -24,7 +26,6 @@ from .pauli import SignedObservable
 from .stabilizer import StabilizerTableau
 
 _RUN_CAP = 10 ** 6  # most runs per record or trials per length, so arrays stay small
-_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
 
 
 def philox_rng(seed: int, substream: int = 0) -> np.random.Generator:
@@ -61,8 +62,6 @@ class RunRecord:
     n_runs: int
     counts: Dict[tuple, int]
     observables: tuple
-    config: Optional[str] = None
-    axioms: Optional[tuple] = None
     flip_prob: float = 0.0
     substream: int = 0
 
@@ -120,8 +119,10 @@ def _count(value, name: str) -> int:
 
 
 def _words(bits: int, width: int) -> np.ndarray:
-    """An outcome word as ``width`` uint64 words, least significant first."""
-    return np.array([bits >> 64 * j & (1 << 64) - 1 for j in range(width)], np.uint64)
+    """An outcome word (bit k set for -1 at entry k) as ``width`` uint64 words
+    laid out as the sign tuples sort: entry k at bit 63 - k % 64 of word k // 64."""
+    text = f"{bits:0{64 * width}b}"[::-1]  # entry k is character k
+    return np.array([int(text[i : i + 64], 2) for i in range(0, 64 * width, 64)], np.uint64)
 
 
 def sample(
@@ -131,18 +132,18 @@ def sample(
     seed: int,
     noise: Optional[NoiseModel] = None,
     substream: int = 0,
-    config: Optional[BlackBoxConfig] = None,
-    axioms: Optional[Sequence[str]] = None,
 ) -> RunRecord:
     """Draw ``n_runs`` independent outcomes of the joint measurement.
 
     Each run is the k-th point, in sorted order, of the affine outcome set of
     :func:`stabilizer._outcome_set` (at most 2^53 points), found without listing
     the set; then every outcome bit is flipped with probability ``noise.flip_prob``.
-    A run is one row of ceil(m/64) packed uint64 outcome words, built from
-    per-byte tables of column XORs: O(runs*(r/8 + m)).  ``np.unique`` tallies
-    the rows; only the distinct words are then put in sign-tuple order and
-    turned into tuples.  ``n_runs`` must be an integer in [1, 10^6].
+    A run is one row of ceil(m/64) uint64 words laid out by :func:`_words` and
+    complemented, so that a set bit means +1 and the rows sort as their sign
+    tuples do; they are built from per-byte tables of column XORs:
+    O(runs*(r/8 + m)).  ``np.unique`` tallies the rows in that order, and only
+    the distinct rows are unpacked into tuples.  ``n_runs`` must be an integer
+    in [1, 10^6].
     """
     n_runs = _count(n_runs, "n_runs")
     if not observables:
@@ -156,7 +157,7 @@ def sample(
     rng = philox_rng(seed, substream)
     picks = (rng.random(n_runs) * 2.0 ** r).astype(np.int64)  # as rng.choice draws
     m = len(observables)
-    width = -(-m // 64)  # uint64 words per run; bit k of the row is set for -1
+    width = -(-m // 64)  # uint64 words per run
     # -1 sorts first, so the k-th point takes column i exactly when bit r-1-i
     # of k equals the reference bit at the column's pivot; no other column
     # touches that pivot.  Bit r-1-i of `taken` says whether column i is taken.
@@ -165,7 +166,7 @@ def sample(
         for i, c in enumerate(columns)
     )
     taken = picks ^ (pivot_bits ^ ((1 << r) - 1))
-    words = np.tile(_words(reference, width), (n_runs, 1))
+    words = np.tile(~_words(reference, width), (n_runs, 1))
     for low in range(0, r, 8):
         # table[b]: XOR of the columns whose bits of `taken` byte low/8 are set in b.
         table = np.zeros((256, width), np.uint64)
@@ -175,31 +176,23 @@ def sample(
     if noise.flip_prob > 0.0:
         flips = np.zeros((n_runs, 64 * width), bool)
         flips[:, :m] = rng.random((n_runs, m)) < noise.flip_prob
-        words ^= np.packbits(flips, bitorder="little").view("<u8").reshape(n_runs, width)
+        # Packed MSB first and read as big-endian words, flip k lands at bit
+        # 63 - k % 64 of word k // 64 on any host; so does unpacking below.
+        words ^= np.packbits(flips).view(">u8").reshape(n_runs, width)
 
-    # Tally each distinct word once; numpy has no fast unique of multi-word rows.
+    # Tally each distinct row once, in sign-tuple order.
     if width == 1:
         distinct, tallies = np.unique(words[:, 0], return_counts=True)
         distinct = distinct[:, None]
     else:
-        distinct, tallies = np.unique(words, axis=0, return_counts=True)
-    # Sort keys of the distinct words: complemented, and bit-reversed so that
-    # entry 0 is the most significant bit of word 0; keys then sort as the
-    # sign tuples do.
-    keys = _REVERSED_BYTES.take((~distinct).astype("<u8").view(np.uint8)).view(">u8")
-    order = np.lexsort(keys[:, ::-1].T)  # the last key given sorts first
-    distinct = distinct[order]
-    outcomes = distinct[:, 0].tolist()
-    for j in range(1, width):
-        outcomes = [b | w << 64 * j for b, w in zip(outcomes, distinct[:, j].tolist())]
-    counts = dict(zip(stab._sign_tuples(outcomes, m), tallies[order].tolist()))
+        distinct, tallies = np.unique(words, axis=0, return_counts=True)  # word 0 first
+    bits = np.unpackbits(distinct.astype(">u8").view(np.uint8), axis=1, count=m)
+    signs = struct.iter_unpack(f"{m}b", (bits.view(np.int8) * 2 - 1).tobytes())
     return RunRecord(
         seed=seed,
         n_runs=n_runs,
-        counts=counts,
+        counts=dict(zip(signs, tallies.tolist())),
         observables=tuple(pauli.format_observable(o) for o in observables),
-        config=str(config) if config is not None else None,
-        axioms=tuple(axioms) if axioms is not None else None,
         flip_prob=noise.flip_prob,
         substream=substream,
     )
@@ -289,20 +282,19 @@ Q2_BASES = (
 
 
 def record_rows(state_label: str, basis_label: str, record: RunRecord) -> List[FrequencyRow]:
-    """One row per outcome of the record's observables, all 2^m of them."""
-    num_obs = len(record.observables)
+    """One row per outcome of the record's observables, all 2^m of them, in
+    the order of ``itertools.product((1, -1), repeat=m)``."""
+    m = len(record.observables)
     rows = []
-    for index in range(2 ** num_obs):
-        signs = tuple(
-            -1 if (index >> (num_obs - 1 - k)) & 1 else 1 for k in range(num_obs)
-        )
-        label = "".join("+" if s == 1 else "-" for s in signs)
+    for signs, label in zip(
+        itertools.product((1, -1), repeat=m), itertools.product("+-", repeat=m)
+    ):
         count = record.counts.get(signs, 0)
         rows.append(
             FrequencyRow(
                 state=state_label,
                 basis=basis_label,
-                outcome_label=label,
+                outcome_label="".join(label),
                 count=count,
                 frequency=round(count / record.n_runs, 6),
             )
@@ -325,8 +317,6 @@ def _grid(states, bases, cfg: BlackBoxConfig, n_runs: int, seed: int, noise) -> 
                 seed,
                 noise,
                 substream=len(bases) * i + k,
-                config=cfg,
-                axioms=tuple("+" + s for s in axiom_letters),
             )
             rows.extend(record_rows(state_label, basis_label, record))
     return rows

@@ -28,7 +28,7 @@ from .gf2 import BitVector, _swap_halves
 from .pauli import SignedObservable
 from .stabilizer import StabilizerTableau
 
-# Bounds `enumerate --n`'s default system and the counts; lifting it changes behaviour.
+# Bounds the size of `enumerate --n`'s default system, built from a bare integer.
 ENUMERATION_CAP = 16
 
 
@@ -184,8 +184,6 @@ def enumerate_propositions(n: int, axioms: StabilizerTableau) -> PropositionCoun
     Dependent means in the span of the generators, and the k generators that
     :func:`stabilizer.prepare` proved independent span exactly 2^k vectors.
     """
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap of {ENUMERATION_CAP}")
     if axioms.n_qubits != n:
         raise ValueError(f"axiom set is for {axioms.n_qubits} qubits, not {n}")
     dependent = 2 ** len(axioms._gens)

@@ -140,12 +140,12 @@ class TestExitCodes:
             (["enumerate", "--n", "17"], "--n must lie in [1, 16], got 17"),
             (["enumerate", "--n", "1000000000"], "--n must lie in [1, 16], got 1000000000"),
             (["q1-demo", "--runs", "10000000000000"],
-             "n_runs must lie in [1, 1000000], got 10000000000000"),
+             "--runs must lie in [1, 1000000], got 10000000000000"),
             (["sample", "--state", "{bell}", "--obs", "ZI", "--runs", "1000001"],
-             "n_runs must lie in [1, 1000000], got 1000001"),
+             "--runs must lie in [1, 1000000], got 1000001"),
             (["decay-study", "--trials", "10000000000000"],
-             "trials must lie in [1, 1000000], got 10000000000000"),
-            (["decay-study", "--trials", "0"], "trials must lie in [1, 1000000], got 0"),
+             "--trials must lie in [1, 1000000], got 10000000000000"),
+            (["decay-study", "--trials", "0"], "--trials must lie in [1, 1000000], got 0"),
             (["oracle-compare", "--n", "1", "--trials", "0"],
              "--trials must lie in [1, 1000000], got 0"),
             (["oracle-compare", "--n", "1", "--trials", "-3"],
@@ -341,6 +341,14 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--axioms", str(axioms))
         assert code == 0
         assert out == "dependent: 8, independent: 56\n"
+
+    def test_axiom_file_past_the_n_bound(self, tmp_path, capsys):
+        # --n bounds only the default system; a 17-qubit file is counted.
+        axioms = tmp_path / "z17.axioms"
+        axioms.write_text("".join("I" * i + "Z" + "I" * (16 - i) + "\n" for i in range(17)))
+        code, out, _ = run(capsys, "enumerate", "--axioms", str(axioms))
+        assert code == 0
+        assert out == "dependent: 131072, independent: 17179738112\n"
 
     def test_needs_n_or_axioms(self, capsys):
         code, _, err = run(capsys, "enumerate")

@@ -237,9 +237,14 @@ class TestEnumerate:
         assert peak < 64 * 1024
 
     def test_cap(self):
-        axioms = AxiomSet([BitVector("01")], [0])
-        with pytest.raises(ValueError, match="cap"):
-            logic.enumerate_propositions(17, axioms)
+        """The library counts any prepared system; only ``enumerate --n``,
+        which builds a system from a bare integer, is bounded by the cap."""
+        for n in (17, 64, 128):
+            axioms = stab.prepare([(BitVector.unit(n + i, 2 * n), 1) for i in range(n)])
+            counts = logic.enumerate_propositions(n, axioms)
+            assert tuple(counts) == (2 ** n, 4 ** n - 2 ** n)
+            with pytest.raises(ValueError, match=f"for {n} qubits, not {n + 1}"):
+                logic.enumerate_propositions(n + 1, axioms)
 
     def test_ratio_grows_as_two_to_n_minus_one(self):
         # formula for n = 1..6, exhaustively confirmed up to the cap

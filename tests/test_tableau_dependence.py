@@ -71,8 +71,6 @@ def frozen_half_residues(shift, n, pivots):
 
 
 def frozen_enumerate(n, axioms, pivots):
-    if n > logic.ENUMERATION_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap of {logic.ENUMERATION_CAP}")
     if axioms.n_qubits != n:
         raise ValueError(f"axiom set is for {axioms.n_qubits} qubits, not {n}")
     tally = Counter(frozen_half_residues(0, n, pivots))
