@@ -1,4 +1,5 @@
 """Dependence classification, the two truth values, counting, GHZ report."""
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -352,6 +353,32 @@ class TestGhzReport:
         payload = json.loads(report.to_json())
         assert payload["contradiction"] == 1
         assert payload["coefficients"] == [1, 1, 1]
+
+    def test_golden_text_and_json(self):
+        """The bytes of both renderings, pinned for one configuration in full
+        and for all 64 by the sha256 of their concatenation."""
+        report = logic.ghz_report(BlackBoxConfig.from_labels([1, 2, 3]))
+        assert report.to_text() == (
+            "config: y1,y2,y3\naxioms: YYX YXY XYY\naxiom_parities: 0 0 1\n"
+            "derived: XXX\ncoefficients: (1,1,1)\nclassical_truth: 1\n"
+            "quantum_truth: 0\nphase_bit: 1\ncontradiction: 1\n"
+        )
+        assert report.to_json() == (
+            '{\n  "config": "y1,y2,y3",\n  "axioms": [\n    "YYX",\n    "YXY",\n'
+            '    "XYY"\n  ],\n  "axiom_parities": [\n    0,\n    0,\n    1\n  ],\n'
+            '  "derived": "XXX",\n  "coefficients": [\n    1,\n    1,\n    1\n  ],\n'
+            '  "classical_truth": 1,\n  "quantum_truth": 0,\n  "phase_bit": 1,\n'
+            '  "contradiction": 1\n}'
+        )
+        reports = [logic.ghz_report(cfg) for cfg in BlackBoxConfig.all_configs(3)]
+        text = "".join(r.to_text() for r in reports)
+        jsons = "".join(r.to_json() + "\n" for r in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0a3d73e62848c3b22993da956d47f45c968c44952805d7a5d12b74cd1c373c0a"
+        )
+        assert hashlib.sha256(jsons.encode()).hexdigest() == (
+            "b952fede8235edd5a7a9ac351fb60f6738fba0b5c94cf0af7a29ad33f787d65c"
+        )
 
 
 class TestProposition:
