@@ -7,7 +7,10 @@ dense oracle, and run the misclassification decay study.
 
 Every subcommand takes ``--seed`` and ``--out``; ``sample``, ``q1-demo`` and
 ``q2-demo`` also take ``--runs`` and ``--noise``, and ``decay-study`` takes
-``--noise``.  Any other option is a usage error.
+``--noise``.  Any other option is a usage error.  Each ``cmd_*`` function
+returns its text and exit status; ``main`` checks ``--seed`` and ``--out``
+before the work and writes the text once, to stdout or to the ``--out`` file
+in UTF-8, so the file gets the bytes stdout would.
 
 Exit codes: 0 success, 1 domain error (invalid axioms, size mismatches,
 oracle disagreement), 2 usage error.
@@ -65,10 +68,15 @@ def _check_out(value: str) -> None:
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
+    """Write to stdout, or to the --out file with stdout's bytes: arguments
+    that did not decode carry surrogates, which map back to their bytes."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ValueError(f"--out {out} cannot be written: {exc.strerror}") from None
 
 
 def _load_config(path: str) -> bb.BlackBoxConfig:
@@ -94,45 +102,37 @@ def _config_from_args(args, n: int) -> bb.BlackBoxConfig:
     return cfg
 
 
-def cmd_prepare(args) -> int:
-    _write_output(_load_tableau(args.axioms, "--axioms").to_text(), args.out)
-    return 0
+def cmd_prepare(args) -> tuple[str, int]:
+    return _load_tableau(args.axioms, "--axioms").to_text(), 0
 
 
-def cmd_blackbox(args) -> int:
+def cmd_blackbox(args) -> tuple[str, int]:
     tableau = _load_tableau(args.state, "--state")
     cfg = _load_config(args.config)
-    _write_output(stab.apply_blackbox(tableau, cfg).to_text(), args.out)
-    return 0
+    return stab.apply_blackbox(tableau, cfg).to_text(), 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[str, int]:
     axioms = _load_tableau(args.axioms, "--axioms")
     report = logic.classify(logic.Proposition.from_string(args.prop), axioms)
     if not report.dependent:
-        _write_output("independent\n", args.out)
-        return 0
+        return "independent\n", 0
     classical = report.classical_truth
     quantum = classical ^ report.phase_bit  # the definite outcome bit, same scan
     k = ",".join(str(bit) for bit in report.coefficients)
-    _write_output(
-        f"dependent, k=({k}), classical={classical}, quantum={quantum}\n", args.out
-    )
-    return 0
+    return f"dependent, k=({k}), classical={classical}, quantum={quantum}\n", 0
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> tuple[str, int]:
     from . import experiment as xp
 
     tableau = _load_tableau(args.state, "--state")
     obs = pauli.parse_observable(args.obs)
     result = stab.measure(tableau, obs, rng=xp.philox_rng(args.seed))
-    kind = result.kind.value
-    _write_output(f"{kind} {result.outcome:+d}\n", args.out)
-    return 0
+    return f"{result.kind.value} {result.outcome:+d}\n", 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[str, int]:
     from . import experiment as xp
 
     tableau = _load_tableau(args.state, "--state")
@@ -152,11 +152,10 @@ def cmd_sample(args) -> int:
         f"sample state={Path(args.state).name} obs={args.obs} "
         f"runs={args.runs} seed={args.seed} flip_prob={args.noise}"
     )
-    _write_output(xp.render_frequency_csv(rows, comment), args.out)
-    return 0
+    return xp.render_frequency_csv(rows, comment), 0
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[str, int]:
     if args.axioms is not None and args.n is not None:
         raise ValueError("enumerate takes --n or --axioms, not both")
     if args.axioms is not None:
@@ -171,24 +170,15 @@ def cmd_enumerate(args) -> int:
         # Default axiom system: one z observable per qubit.
         axioms = stab.prepare([(BitVector.unit(n + i, 2 * n), 1) for i in range(n)])
     counts = logic.enumerate_propositions(n, axioms)
-    _write_output(
-        f"dependent: {counts.dependent}, independent: {counts.independent}\n",
-        args.out,
-    )
-    return 0
+    return f"dependent: {counts.dependent}, independent: {counts.independent}\n", 0
 
 
-def cmd_ghz_demo(args) -> int:
-    cfg = _config_from_args(args, 3)
-    report = logic.ghz_report(cfg)
-    if args.json:
-        _write_output(report.to_json() + "\n", args.out)
-    else:
-        _write_output(report.to_text(), args.out)
-    return 0
+def cmd_ghz_demo(args) -> tuple[str, int]:
+    report = logic.ghz_report(_config_from_args(args, 3))
+    return (report.to_json() + "\n" if args.json else report.to_text()), 0
 
 
-def cmd_grid_demo(args) -> int:
+def cmd_grid_demo(args) -> tuple[str, int]:
     from . import experiment as xp
 
     grids = {"q1-demo": (1, xp.reproduce_q1), "q2-demo": (2, xp.reproduce_q2)}
@@ -200,11 +190,10 @@ def cmd_grid_demo(args) -> int:
         f"{args.command} config={cfg} runs={args.runs} seed={args.seed} "
         f"flip_prob={args.noise}"
     )
-    _write_output(xp.render_frequency_csv(rows, comment), args.out)
-    return 0
+    return xp.render_frequency_csv(rows, comment), 0
 
 
-def cmd_oracle_compare(args) -> int:
+def cmd_oracle_compare(args) -> tuple[str, int]:
     from . import experiment as xp
     from . import oracle
 
@@ -236,8 +225,7 @@ def cmd_oracle_compare(args) -> int:
             f"worst_trial: {trial}\naxioms: {','.join(map(str, tableau.generators))}\n"
             f"observables: {','.join(map(str, observables))}\n"
         )
-    _write_output(text, args.out)
-    return 0 if agree else 1
+    return text, (0 if agree else 1)
 
 
 def _parse_lengths(text: str) -> list:
@@ -250,7 +238,7 @@ def _parse_lengths(text: str) -> list:
     return lengths
 
 
-def cmd_decay_study(args) -> int:
+def cmd_decay_study(args) -> tuple[str, int]:
     from . import experiment as xp
 
     lengths = _parse_lengths(args.lengths)
@@ -261,8 +249,7 @@ def cmd_decay_study(args) -> int:
         f"decay-study flip_prob={args.noise} threshold={args.threshold} "
         f"trials={args.trials} seed={args.seed}"
     )
-    _write_output(xp.render_decay_tsv(rows, comment), args.out)
-    return 0
+    return xp.render_decay_tsv(rows, comment), 0
 
 
 # The options that subcommands share, each defined once, in help order.
@@ -352,7 +339,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.out is not None:  # checked before the work, not after it
             _check_out(args.out)
-        return args.func(args)
+        if not 0 <= args.seed < 1 << 64:  # also where nothing draws from it
+            raise ValueError(f"seed must lie in [0, 2^64), got {args.seed}")
+        text, status = args.func(args)
+        _write_output(text, args.out)
+        return status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -169,6 +169,9 @@ class BitMatrix:
             return NotImplemented
         return self._rows == other._rows and self._num_cols == other._num_cols
 
+    def __hash__(self) -> int:
+        return hash((self._rows, self._num_cols))
+
     def __repr__(self) -> str:
         body = ", ".join(f"'{''.join(str(b) for b in r)}'" for r in self)
         return f"BitMatrix([{body}])"

@@ -215,34 +215,31 @@ class GhzReport:
         return self.classical ^ self.quantum
 
     def to_text(self) -> str:
-        lines = [
-            f"config: {self.config}",
-            f"axioms: {' '.join(self.axiom_observables)}",
-            f"axiom_parities: {' '.join(str(b) for b in self.axiom_parities)}",
-            f"derived: {self.derived_observable}",
-            f"coefficients: ({','.join(str(k) for k in self.coefficients)})",
-            f"classical_truth: {self.classical}",
-            f"quantum_truth: {self.quantum}",
-            f"phase_bit: {self.phase_bit}",
-            f"contradiction: {self.contradiction}",
-        ]
+        lines = (f"{name}: {render(getattr(self, attr))}" for name, attr, render in _GHZ_FIELDS)
         return "".join(line + "\n" for line in lines)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "axioms": list(self.axiom_observables),
-                "axiom_parities": list(self.axiom_parities),
-                "derived": self.derived_observable,
-                "coefficients": list(self.coefficients),
-                "classical_truth": self.classical,
-                "quantum_truth": self.quantum,
-                "phase_bit": self.phase_bit,
-                "contradiction": self.contradiction,
-            },
-            indent=2,
-        )
+        fields = {name: getattr(self, attr) for name, attr, _ in _GHZ_FIELDS}
+        return json.dumps(fields, indent=2)  # the tuple fields render as arrays
+
+
+def _spaced(values) -> str:
+    return " ".join(map(str, values))
+
+
+# The report's fields in output order: (name in both renderings, attribute,
+# text rendering).
+_GHZ_FIELDS = (
+    ("config", "config", str),
+    ("axioms", "axiom_observables", _spaced),
+    ("axiom_parities", "axiom_parities", _spaced),
+    ("derived", "derived_observable", str),
+    ("coefficients", "coefficients", lambda k: f"({','.join(map(str, k))})"),
+    ("classical_truth", "classical", str),
+    ("quantum_truth", "quantum", str),
+    ("phase_bit", "phase_bit", str),
+    ("contradiction", "contradiction", str),
+)
 
 
 def ghz_report(cfg: BlackBoxConfig) -> GhzReport:

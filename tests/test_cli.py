@@ -1,17 +1,22 @@
 """Subcommand behavior, exit codes, file round-trips, reproducibility."""
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import axiombox
 from axiombox import cli, oracle, pauli
 from axiombox import stabilizer as stab
 
 GHZ_AXIOM_FILE = "-YYX\n-YXY\n-XYY\n"
 BELL_AXIOM_FILE = "+ZZ\n+XX\n"
+SRC = str(Path(axiombox.__file__).parents[1])
 
 
 # Each (subcommand, file option) pair, the option's file named by "{bad}".
@@ -126,10 +131,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_is_exit_one(self, capsys, seed):
-        code, out, err = run(capsys, "q1-demo", "--runs", "10", "--seed", seed)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: seed ") and err.count("\n") == 1
+        # Checked before the work: the files the arguments name do not exist.
+        for argv in EVERY_SUBCOMMAND:
+            code, out, err = run(capsys, *argv, "--seed", seed)
+            assert code == 1, argv
+            assert out == ""
+            assert err.startswith("error: seed ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -230,7 +237,9 @@ class TestExitCodes:
         ran = []
         for name in dir(cli):
             if name.startswith("cmd_"):
-                monkeypatch.setattr(cli, name, lambda args: ran.append(args.command) or 0)
+                monkeypatch.setattr(
+                    cli, name, lambda args: (ran.append(args.command) or "", 0)
+                )
         (tmp_path / "file.txt").write_text("")
         target = target.format(tmp=tmp_path)
         code, out, err = run(capsys, *argv, "--out", target)
@@ -608,6 +617,68 @@ def test_out_dash_writes_to_stdout(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "prepare", "--axioms", "bell.axioms", "--out", "-")
     assert (code, out, err) == (0, BELL_AXIOM_FILE, "")
     assert not Path("-").exists()
+
+
+# One argument list per subcommand that exits 0 on the files that
+# ``write_inputs`` leaves in the working directory.
+RUNNABLE = [
+    ["prepare", "--axioms", "bell.axioms"],
+    ["blackbox", "--state", "bell.axioms", "--config", "box.cfg"],
+    ["check", "--axioms", "ghz.axioms", "--prop", "XXX"],
+    ["measure", "--state", "bell.axioms", "--obs", "ZI"],
+    ["sample", "--state", "\u00fc.tab", "--obs", "ZI,IZ", "--runs", "100"],
+    ["enumerate", "--n", "2"],
+    ["ghz-demo", "--json"],
+    ["q1-demo", "--runs", "100"],
+    ["q2-demo", "--runs", "100"],
+    ["oracle-compare", "--n", "2", "--trials", "5"],
+    ["decay-study", "--lengths", "10,20", "--trials", "100"],
+]
+
+
+def write_inputs(directory):
+    (directory / "bell.axioms").write_text(BELL_AXIOM_FILE)
+    (directory / "\u00fc.tab").write_text(BELL_AXIOM_FILE)
+    (directory / "ghz.axioms").write_text(GHZ_AXIOM_FILE)
+    (directory / "box.cfg").write_text("y2\ny2\n")
+
+
+@pytest.mark.parametrize("argv", RUNNABLE, ids=lambda argv: argv[0])
+def test_out_file_gets_the_bytes_of_stdout(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *argv, "--out", "out.txt") == (0, "", "")
+    assert Path("out.txt").read_bytes() == out.encode()
+
+
+def test_out_file_gets_the_bytes_of_stdout_in_the_c_locale(tmp_path):
+    """In the C locale a non-ASCII argument decodes to surrogates, which
+    stdout writes back as the bytes given; so must the --out file."""
+    write_inputs(tmp_path)
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "axiombox", *RUNNABLE[4]]
+
+    def axiombox(*extra):
+        done = subprocess.run(
+            argv + list(extra), cwd=tmp_path, env=env, capture_output=True, timeout=60
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        return done.stdout
+
+    stdout = axiombox()
+    assert "state=\u00fc.tab".encode() in stdout
+    assert axiombox("--out", "out.csv") == b""
+    assert (tmp_path / "out.csv").read_bytes() == stdout
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+def test_failed_write_names_out(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "2", "--out", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err == "error: --out /dev/full cannot be written: No space left on device\n"
 
 
 def readme_example():
