@@ -339,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.out is not None:  # checked before the work, not after it
             _check_out(args.out)
-        if not 0 <= args.seed < 1 << 64:  # also where nothing draws from it
+        if not 0 <= args.seed < 1 << 64:  # for every subcommand, without numpy
             raise ValueError(f"seed must lie in [0, 2^64), got {args.seed}")
         text, status = args.func(args)
         _write_output(text, args.out)
