@@ -22,7 +22,7 @@ from .blackbox import (
     parse_config,
     proposition_truth,
 )
-from .gf2 import BitMatrix, BitVector, in_span, rank, symplectic_product
+from .gf2 import BitVector
 from .logic import (
     AxiomSet,
     DependenceReport,
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomSet",
-    "BitMatrix",
     "BitVector",
     "BlackBoxConfig",
     "BooleanFunction",
@@ -91,7 +90,6 @@ __all__ = [
     "format_observable",
     "from_proposition",
     "ghz_report",
-    "in_span",
     "joint_distribution",
     "measure",
     "measure_forced",
@@ -105,9 +103,7 @@ __all__ = [
     "quantum_truth",
     "random_axioms",
     "random_commuting_observables",
-    "rank",
     "sample",
-    "symplectic_product",
 ]
 
 # Names served by ``experiment``, which imports numpy: resolved on first

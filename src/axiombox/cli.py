@@ -71,7 +71,11 @@ def _write_output(text: str, out: Optional[str]) -> None:
     """Write to stdout, or to the --out file with stdout's bytes: arguments
     that did not decode carry surrogates, which map back to their bytes."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ValueError(f"stdout cannot be written: {exc.strerror}") from None
         return
     try:
         Path(out).write_text(text, encoding="utf-8", errors="surrogateescape")

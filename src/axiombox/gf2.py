@@ -14,6 +14,13 @@ eliminating one column at a time.  The transposed pairing matrix that
 ``prepare`` eliminates is read from one string of all the masks' bits, one
 strided slice per column.
 
+Whether a vector lies in the span of others is not asked here:
+:func:`axiombox.logic.classify` reads it off a prepared tableau.
+``BitMatrix``, ``rank`` and ``symplectic_product`` serve no other module and
+are not re-exported by the package; they stay because the benchmark
+harness's own tests (``perfbench/tests``) check its generated axioms with
+them.
+
 Symplectic layout convention, shared by every module in this package: a
 vector of even length ``2N`` is split as ``(x-part | z-part)`` with qubit
 index ascending, i.e. bits ``0..N-1`` are the x exponents and bits ``N..2N-1``
@@ -276,36 +283,6 @@ def _eliminate_block(work: list, block: dict, lo: int, hi: int) -> list:
 def rank(matrix: BitMatrix) -> int:
     """GF(2) row rank.  Empty matrices have rank 0."""
     return len(_echelon(matrix.row_masks))
-
-
-def _reduce(mask: int, pivots: list) -> tuple:
-    """``(residue, combo)`` of ``mask`` against :func:`_echelon` pivots: residue
-    0 means ``mask`` is in the row span, and ``combo`` names rows summing to it."""
-    combo = 0
-    for col, pm, pc in pivots:
-        if (mask >> col) & 1:
-            mask ^= pm
-            combo ^= pc
-    return mask, combo
-
-
-def in_span(v: BitVector, basis: BitMatrix) -> Optional[BitVector]:
-    """Coefficients k with ``sum_p k_p * basis_row_p == v`` (mod 2), or None.
-
-    When the basis rows are linearly independent the coefficient vector is
-    unique; otherwise the deterministic echelon form fixes which of the
-    equivalent solutions is returned.  Each call eliminates ``basis`` once
-    and reduces ``v`` against the pivot rows.
-    """
-    if len(v) != basis.num_cols:
-        raise ValueError(
-            f"dimension mismatch: vector length {len(v)}, "
-            f"basis has {basis.num_cols} columns"
-        )
-    residue, combo = _reduce(v.mask, _echelon(basis.row_masks))
-    if residue:
-        return None
-    return BitVector.from_mask(combo, basis.num_rows)
 
 
 def _span(rows: Sequence[int]) -> list:

@@ -93,8 +93,6 @@ class AxiomSet(StabilizerTableau):
     def parities(self) -> tuple:
         return self._signs
 
-    matrix = StabilizerTableau.generator_matrix
-
     def signs(self) -> tuple:
         """Eigenvalue signs (-1)^parity, one per axiom."""
         return tuple(-1 if b else 1 for b in self.parities)

@@ -25,7 +25,6 @@ from .stabilizer import OutcomeDistribution
 DENSE_CAP = 12  # 2^12 amplitudes; verification scale, not performance
 
 DenseState = np.ndarray
-DenseOperator = np.ndarray
 
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
@@ -61,15 +60,6 @@ def _parity_table(n: int) -> tuple:
     c = np.arange(2 ** n)
     c.flags.writeable = signs.flags.writeable = False
     return c, signs
-
-
-def pauli_term_matrix(p: PauliOperator) -> DenseOperator:
-    """Dense matrix of ``i^phase * prod_j sx^{x_j} sz^{z_j}``; a signed
-    observable's phase carries its sign."""
-    perm, factors = _signed_permutation(p)
-    m = np.zeros((len(perm), len(perm)), dtype=complex)
-    m[perm, np.arange(len(perm))] = factors
-    return m
 
 
 def state_from_axioms(axioms) -> DenseState:

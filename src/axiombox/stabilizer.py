@@ -44,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import gf2, pauli
 from .blackbox import BlackBoxConfig, _parity
 from .gf2 import (
-    BitMatrix,
     BitVector,
     _commute_pairwise,
     _echelon,
@@ -95,9 +94,6 @@ class StabilizerTableau:
     def destabilizers(self) -> tuple:
         """The destabilizer (x|z) vectors, built from the masks on each read."""
         return tuple(BitVector.from_mask(d, 2 * self._n) for d in self._destabs)
-
-    def generator_matrix(self) -> BitMatrix:
-        return BitMatrix([BitVector.from_mask(g, 2 * self._n) for g in self._gens])
 
     def check_invariants(self) -> None:
         """Raise AssertionError if the tableau structure is broken.  The checks

@@ -11,9 +11,12 @@ from axiombox import cli, experiment as xp, logic, oracle, pauli
 from axiombox import stabilizer as stab
 from axiombox.blackbox import BlackBoxConfig
 from axiombox.experiment import NoiseModel
-from axiombox.gf2 import BitVector, in_span, symplectic_product
+from axiombox.gf2 import BitVector
 from axiombox.logic import AxiomSet, Proposition
 from axiombox.stabilizer import MeasurementKind
+
+import gf2_reference as ref
+from dense_reference import term_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -50,12 +53,12 @@ def test_criterion_1_equivalence_theorem():
                 [v for v, _ in pairs], [0 if s == 1 else 1 for _, s in pairs]
             )
             state = stab.prepare(pairs)
-            matrix = axioms.matrix()
+            rows = [v.mask for v in axioms.vectors]
             for mask in range(4 ** n):
                 v = BitVector.from_mask(mask, 2 * n)
-                dependent = in_span(v, matrix) is not None
+                dependent = ref.span_coefficients(mask, rows) is not None
                 commuting = all(
-                    symplectic_product(v, g.vector) == 0 for g in state.generators
+                    ref.symplectic(mask, g.vector.mask, n) == 0 for g in state.generators
                 )
                 result = stab.measure_forced(
                     state, pauli.from_proposition(v), 1
@@ -101,7 +104,7 @@ def test_criterion_3_ghz_contradiction():
     ghz_dense = oracle.state_from_axioms(
         [(pauli.parse_observable(s).vector, 1) for s in ("ZZI", "IZZ", "XXX")]
     )
-    xxx = oracle.pauli_term_matrix(pauli.parse_observable("+XXX"))
+    xxx = term_matrix(pauli.parse_observable("+XXX"))
     for cfg in BlackBoxConfig.all_configs(3):
         report = logic.ghz_report(cfg)
         assert report.classical ^ report.quantum == 1, str(cfg)

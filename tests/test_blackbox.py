@@ -7,7 +7,9 @@ import pytest
 from axiombox import blackbox as bb
 from axiombox import pauli
 from axiombox.blackbox import BlackBoxConfig, BooleanFunction
-from axiombox.gf2 import BitMatrix, BitVector, in_span
+from axiombox.gf2 import BitVector
+
+import gf2_reference as ref
 
 
 class TestBooleanFunction:
@@ -121,17 +123,17 @@ class TestAxiomTruths:
         assert bb.axiom_truths(self.GHZ_AXIOMS, cfg) == [1, 1, 1]
 
     def test_dependent_truth_is_parity_combination(self):
-        basis = BitMatrix(self.GHZ_AXIOMS)
+        basis = [v.mask for v in self.GHZ_AXIOMS]
         for cfg in itertools.islice(BlackBoxConfig.all_configs(3), 0, 64, 5):
             truths = bb.axiom_truths(self.GHZ_AXIOMS, cfg)
             for mask in range(64):
                 v = BitVector.from_mask(mask, 6)
-                coeffs = in_span(v, basis)
+                coeffs = ref.span_coefficients(mask, basis)
                 if coeffs is None:
                     continue
                 expected = 0
-                for k, t in zip(coeffs, truths):
-                    expected ^= k & t
+                for k, t in enumerate(truths):
+                    expected ^= coeffs >> k & t
                 assert bb.proposition_truth(v, cfg) == expected
 
 

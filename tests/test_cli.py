@@ -681,6 +681,21 @@ def test_failed_write_names_out(capsys):
     assert err == "error: --out /dev/full cannot be written: No space left on device\n"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("extra", [[], ["--out", "-"]], ids=["default", "out_dash"])
+def test_failed_stdout_write_names_stdout(tmp_path, extra):
+    """A full stdout exits 1 with one stderr line that names stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "axiombox", "enumerate", "--n", "2", *extra],
+            cwd=tmp_path, env=env, stdout=full, stderr=subprocess.PIPE, timeout=60,
+        )
+    assert done.returncode == 1
+    assert done.stderr == b"error: stdout cannot be written: No space left on device\n"
+
+
 def readme_example():
     """The lines of the README's first ``sh`` block under "## CLI"."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()

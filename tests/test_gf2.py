@@ -1,6 +1,6 @@
-"""Exact GF(2) linear algebra: ranks, span membership, symplectic products."""
+"""Exact GF(2) linear algebra: vectors, ranks, the elimination and the
+symplectic form, checked against the textbook reference in ``gf2_reference``."""
 import functools
-import itertools
 import operator
 import random
 
@@ -16,11 +16,11 @@ from axiombox.gf2 import (
     BitVector,
     _echelon,
     _pairing_transpose,
-    _reduce,
-    in_span,
     rank,
     symplectic_product,
 )
+
+import gf2_reference as ref
 
 # The three-qubit product-observable axiom vectors (YYX, YXY, XYY) in
 # (x-part | z-part) layout; reused across the suite.
@@ -171,72 +171,57 @@ class TestRank:
     @settings(max_examples=150, deadline=None)
     @given(bit_matrices())
     def test_rank_equals_transpose_rank(self, m):
-        assert rank(m) == rank(transpose(m))
+        assert rank(m) == rank(transpose(m)) == ref.rank(list(m.row_masks))
+
+
+def echelon_solve(mask, rows):
+    """Coefficients of ``mask`` over ``rows`` read off ``_echelon``'s pivots
+    by the reference's reduction, or None when it is not in their span."""
+    residue, combo = ref.reduce(mask, _echelon(rows))
+    return None if residue else combo
+
+
+def rows_of(*texts):
+    return [BitVector(t).mask for t in texts]
 
 
 class TestInSpan:
+    """Span membership and coefficients read off ``_echelon``'s pivots."""
+
     def test_zero_vector(self):
-        basis = BitMatrix(["101", "011"])
-        coeffs = in_span(BitVector("000"), basis)
-        assert coeffs == BitVector("00")
+        assert echelon_solve(0, rows_of("101", "011")) == 0
 
     def test_single_axiom_independence(self):
         # x proposition against a z axiom: not in span.
-        assert in_span(BitVector("10"), BitMatrix(["01"])) is None
+        assert echelon_solve(BitVector("10").mask, rows_of("01")) is None
 
     def test_three_qubit_derived_proposition(self):
-        coeffs = in_span(BitVector("111000"), BitMatrix(GHZ_AXIOM_ROWS))
-        assert coeffs == BitVector("111")
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            in_span(BitVector("10"), BitMatrix(["111"]))
+        assert echelon_solve(BitVector("111000").mask, rows_of(*GHZ_AXIOM_ROWS)) == 0b111
 
     @settings(max_examples=150, deadline=None)
     @given(bit_matrices(), st.data())
     def test_coefficients_recombine(self, basis, data):
-        picks = data.draw(
-            st.lists(
-                st.integers(0, 1), min_size=basis.num_rows, max_size=basis.num_rows
-            )
-        )
-        target = BitVector.zeros(basis.num_cols)
-        for bit, row in zip(picks, basis):
-            if bit:
-                target = target ^ row
-        coeffs = in_span(target, basis)
+        rows = list(basis.row_masks)
+        picks = data.draw(st.integers(0, 2 ** len(rows) - 1))
+        target = ref.combine(rows, picks)
+        coeffs = echelon_solve(target, rows)
         assert coeffs is not None
-        rebuilt = BitVector.zeros(basis.num_cols)
-        for bit, row in zip(coeffs, basis):
-            if bit:
-                rebuilt = rebuilt ^ row
-        assert rebuilt == target
+        assert ref.combine(rows, coeffs) == target
+        assert coeffs == ref.span_coefficients(target, rows)
 
     @settings(max_examples=150, deadline=None)
     @given(bit_matrices(), st.data())
     def test_absent_means_absent(self, basis, data):
+        rows = list(basis.row_masks)
         mask = data.draw(st.integers(0, 2 ** basis.num_cols - 1))
-        v = BitVector.from_mask(mask, basis.num_cols)
-        if basis.num_rows <= 10:
-            brute = any(
-                _combine(basis, picks) == v
-                for picks in itertools.product((0, 1), repeat=basis.num_rows)
-            )
-            assert (in_span(v, basis) is not None) == brute
+        if len(rows) <= 10:
+            brute = any(ref.combine(rows, picks) == mask for picks in range(2 ** len(rows)))
+            assert (echelon_solve(mask, rows) is not None) == brute
 
     def test_unique_for_independent_basis(self):
-        basis = BitMatrix(GHZ_AXIOM_ROWS)
-        for picks in itertools.product((0, 1), repeat=3):
-            v = _combine(basis, picks)
-            assert in_span(v, basis) == BitVector(picks)
-
-
-def _combine(basis, picks):
-    out = BitVector.zeros(basis.num_cols)
-    for bit, row in zip(picks, basis):
-        if bit:
-            out = out ^ row
-    return out
+        rows = rows_of(*GHZ_AXIOM_ROWS)
+        for picks in range(8):
+            assert echelon_solve(ref.combine(rows, picks), rows) == picks
 
 
 class TestSymplecticProduct:
@@ -265,6 +250,7 @@ class TestSymplecticProduct:
             for b in range(2 ** dim):
                 vb = BitVector.from_mask(b, dim)
                 assert symplectic_product(va, vb) == symplectic_product(vb, va)
+                assert symplectic_product(va, vb) == ref.symplectic(a, b, n)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bilinear(self, n):
@@ -294,9 +280,8 @@ class TestSymplecticProduct:
         want = transpose(BitMatrix([swap_halves(v) for v in vectors]))
         assert _pairing_transpose(masks, n) == list(want.row_masks)
         for j, row in enumerate(_pairing_transpose(masks, n)):
-            e_j = BitVector.unit(j, 2 * n)
             assert [row >> q & 1 for q in range(len(masks))] == [
-                symplectic_product(e_j, v) for v in vectors
+                ref.symplectic(1 << j, m, n) for m in masks
             ]
 
     @pytest.mark.parametrize("n", [1, 3, 64])
@@ -312,14 +297,10 @@ class TestIsotropicBases:
         rng = np.random.default_rng(2024)
         for _ in range(25):
             n = int(rng.integers(1, 5))
-            basis_vectors = [v for v, _ in random_axioms(n, rng)]
-            basis = BitMatrix(basis_vectors, num_cols=2 * n)
+            rows = [v.mask for v, _ in random_axioms(n, rng)]
             for mask in range(2 ** (2 * n)):
-                v = BitVector.from_mask(mask, 2 * n)
-                if in_span(v, basis) is not None:
-                    assert all(
-                        symplectic_product(v, row) == 0 for row in basis
-                    )
+                if ref.span_coefficients(mask, rows) is not None:
+                    assert all(ref.symplectic(mask, row, n) == 0 for row in rows)
 
 
 # Frozen references: the elimination as it stood before its rows were packed
@@ -346,15 +327,6 @@ def frozen_echelon(rows):
         if done == len(work):
             break
     return pivots
-
-
-def frozen_reduce(mask, pivots):
-    combo = 0
-    for col, pm, pc in pivots:
-        if (mask >> col) & 1:
-            mask ^= pm
-            combo ^= pc
-    return mask, combo
 
 
 def random_rows(rng, max_rows=40, max_width=130):
@@ -398,7 +370,7 @@ class TestEchelonMatchesFrozen:
             ]
             noise = [rng.getrandbits(width) for _ in range(10)]
             for v in spanned + noise:
-                assert _reduce(v, got) == frozen_reduce(v, want)
+                assert ref.reduce(v, got) == ref.reduce(v, want)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 17, 63, 64, 65, 128, 256])
@@ -408,7 +380,7 @@ def test_destabilizers_match_frozen_reduction(n):
     axioms = stab.random_axioms(n, philox_rng(n, 1400))
     pivots = frozen_echelon(_pairing_transpose([v.mask for v, _ in axioms], n))
     destabs = [d.mask for d in stab.prepare(axioms).destabilizers]
-    assert destabs == [frozen_reduce(1 << p, pivots)[1] for p in range(n)]
+    assert destabs == [ref.reduce(1 << p, pivots)[1] for p in range(n)]
 
 
 # Frozen reference: the packed elimination as it stood before it was blocked,
@@ -474,3 +446,25 @@ class TestEchelonMatchesFrozenPacked:
         """The N x 2N generator matrix that ``check_invariants`` eliminates."""
         gens = list(stab.prepare(stab.random_axioms(n, philox_rng(n, 2001)))._gens)
         assert _echelon(gens) == frozen_packed_echelon(gens)
+
+
+class TestEchelonMatchesReference:
+    """``_echelon`` against the textbook elimination of ``gf2_reference``: the
+    same rank, pivot columns, reduced rows and combinations.  16, 40, 300 and
+    600 rows give the blocked elimination blocks of 1, 4, 7 and 8 columns."""
+
+    @pytest.mark.parametrize("size", [16, 40, 300, 600])
+    def test_row_counts(self, size):
+        rng = random.Random(3100 + size)
+        for width in (size // 2, size, 2 * size):  # rank-deficient, square, wide
+            for sparse in (False, True):
+                rows = [rng.getrandbits(width) for _ in range(size)]
+                if sparse:  # about one bit in eight, so pivots skip columns
+                    rows = [r & rng.getrandbits(width) & rng.getrandbits(width) for r in rows]
+                rows[1] = rows[0] ^ rows[-1]
+                got, want = _echelon(rows), ref.gauss_jordan(rows)
+                assert len(got) == len(want) < size
+                assert [c for c, _, _ in got] == [c for c, _, _ in want]
+                assert got == want
+                for _, row, combo in got:
+                    assert ref.combine(rows, combo) == row

@@ -9,9 +9,11 @@ from axiombox import blackbox as bb
 from axiombox import logic, pauli
 from axiombox import stabilizer as stab
 from axiombox.blackbox import BlackBoxConfig
-from axiombox.gf2 import BitVector, _echelon, _reduce
+from axiombox.gf2 import BitVector
 from axiombox.logic import AxiomSet, Proposition
 from axiombox.stabilizer import MeasurementKind
+
+import gf2_reference as ref
 
 
 def prop(text):
@@ -265,16 +267,16 @@ def frozen_scan(n, axioms):
     """``enumerate_propositions`` as it stood before the meet in the middle:
     every one of the 4^n masks reduced against the pivots of one elimination
     of the axiom vectors."""
-    pivots = _echelon([v.mask for v in axioms.vectors])
-    dependent = sum(1 for mask in range(4 ** n) if not _reduce(mask, pivots)[0])
+    pivots = ref.gauss_jordan([v.mask for v in axioms.vectors])
+    dependent = sum(1 for mask in range(4 ** n) if not ref.reduce(mask, pivots)[0])
     return (dependent, 4 ** n - dependent)
 
 
 def span_count(n, tableau):
     """Brute-force counts for any tableau: every one of the 4^n masks reduced
     against the pivots of one elimination of its generator masks."""
-    pivots = _echelon(list(tableau._gens))
-    dependent = sum(1 for mask in range(4 ** n) if not _reduce(mask, pivots)[0])
+    pivots = ref.gauss_jordan(list(tableau._gens))
+    dependent = sum(1 for mask in range(4 ** n) if not ref.reduce(mask, pivots)[0])
     return (dependent, 4 ** n - dependent)
 
 

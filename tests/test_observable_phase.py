@@ -12,6 +12,8 @@ from axiombox.blackbox import BlackBoxConfig
 from axiombox.gf2 import BitVector
 from axiombox.pauli import PauliOperator, SignedObservable
 
+from dense_reference import permutation_matrix, term_matrix
+
 
 def check_form(o):
     """``o`` is a SignedObservable whose phase is canonical, or that plus 2."""
@@ -21,9 +23,9 @@ def check_form(o):
     assert o.is_hermitian()
     assert o.base.phase == canon % 4 and type(o.base) is PauliOperator
     if o.n_qubits <= 3:
-        assert np.array_equal(
-            oracle.pauli_term_matrix(o), o.sign * oracle.pauli_term_matrix(o.base)
-        )
+        matrix = term_matrix(o)
+        assert np.array_equal(matrix, o.sign * term_matrix(o.base))
+        assert np.array_equal(permutation_matrix(*oracle._signed_permutation(o)), matrix)
 
 
 def every_observable(n):
@@ -72,10 +74,7 @@ def test_observable_product_of_every_commuting_pair(n):
                 product = pauli.observable_product(a, b)
                 check_form(product)
                 assert product == pauli.multiply(a, b)
-                assert np.array_equal(
-                    oracle.pauli_term_matrix(product),
-                    oracle.pauli_term_matrix(a) @ oracle.pauli_term_matrix(b),
-                )
+                assert np.array_equal(term_matrix(product), term_matrix(a) @ term_matrix(b))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -122,8 +121,8 @@ def test_an_observable_is_the_operator_it_denotes():
     assert plus_y == plus_y.base and hash(plus_y) == hash(plus_y.base)
     assert (plus_y.x, plus_y.z, plus_y.phase) == (BitVector("1"), BitVector("1"), 1)
     assert np.array_equal(
-        oracle.pauli_term_matrix(pauli.multiply(minus_z, plus_y)),
-        oracle.pauli_term_matrix(minus_z) @ oracle.pauli_term_matrix(plus_y),
+        term_matrix(pauli.multiply(minus_z, plus_y)),
+        term_matrix(minus_z) @ term_matrix(plus_y),
     )
     assert pauli.commutes(minus_z, plus_y) == 0
 

@@ -7,25 +7,34 @@ from axiombox.gf2 import BitVector
 from axiombox.logic import AxiomSet
 from axiombox.pauli import PauliOperator
 
+from dense_reference import permutation_matrix, term_matrix
+
 
 def obs(text):
     return pauli.parse_observable(text)
 
 
+def signed_matrix(p):
+    """The dense matrix of the oracle's signed permutation of ``p``."""
+    return permutation_matrix(*oracle._signed_permutation(p))
+
+
 class TestPauliMatrix:
+    """The signed permutation of a Pauli, written out densely, against hand-
+    expanded matrices and the textbook Kronecker product."""
+
     def test_sigma_z(self):
-        np.testing.assert_allclose(
-            oracle.pauli_term_matrix(obs("+Z")), np.diag([1.0, -1.0])
-        )
+        np.testing.assert_allclose(signed_matrix(obs("+Z")), np.diag([1.0, -1.0]))
 
     def test_sigma_y(self):
         np.testing.assert_allclose(
-            oracle.pauli_term_matrix(obs("+Y")), np.array([[0, -1j], [1j, 0]])
+            signed_matrix(obs("+Y")), np.array([[0, -1j], [1j, 0]])
         )
 
     def test_minus_xxx_antidiagonal(self):
-        m = oracle.pauli_term_matrix(obs("-XXX"))
+        m = signed_matrix(obs("-XXX"))
         np.testing.assert_allclose(m, -np.fliplr(np.eye(8)))
+        assert np.array_equal(m, term_matrix(obs("-XXX")))
 
     def test_hermitian_and_involutory(self):
         rng = np.random.default_rng(21)
@@ -36,13 +45,14 @@ class TestPauliMatrix:
             o = pauli.SignedObservable(
                 pauli.from_proposition(BitVector.from_mask(mask, 2 * n)).base, sign
             )
-            m = oracle.pauli_term_matrix(o)
+            m = signed_matrix(o)
+            assert np.array_equal(m, term_matrix(o))
             np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
             np.testing.assert_allclose(m @ m, np.eye(2 ** n), atol=1e-12)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="dense cap"):
-            oracle.pauli_term_matrix(pauli.SignedObservable.identity(13))
+            oracle._signed_permutation(pauli.SignedObservable.identity(13))
 
     def test_respects_multiply_with_phase(self):
         rng = np.random.default_rng(22)
@@ -56,11 +66,11 @@ class TestPauliMatrix:
                 BitVector.from_mask(int(rng.integers(0, 4 ** n)), 2 * n),
                 phase=int(rng.integers(0, 4)),
             )
+            product = signed_matrix(pauli.multiply(p, q))
             np.testing.assert_allclose(
-                oracle.pauli_term_matrix(p) @ oracle.pauli_term_matrix(q),
-                oracle.pauli_term_matrix(pauli.multiply(p, q)),
-                atol=1e-12,
+                signed_matrix(p) @ signed_matrix(q), product, atol=1e-12
             )
+            assert np.array_equal(product, term_matrix(p) @ term_matrix(q))
 
 
 class TestStateFromAxioms:
@@ -139,7 +149,7 @@ class TestStateFromAxioms:
             state = oracle.state_from_axioms(axioms)
             assert abs(np.linalg.norm(state) - 1.0) < 1e-12
             for vector, sign in axioms:
-                omega = oracle.pauli_term_matrix(pauli.from_proposition(vector))
+                omega = term_matrix(pauli.from_proposition(vector))
                 np.testing.assert_allclose(
                     omega @ state, sign * state, atol=1e-12
                 )

@@ -1,10 +1,10 @@
 """The dense oracle's signed-permutation kernel against frozen copies of the
 oracles it replaced, and its independence from the tableau code.
 
-``kron_pauli_matrix``, ``matmul_state_from_axioms`` and ``matmul_distribution``
-are the Kronecker/matmul oracle: every observable a dense 2^N x 2^N Kronecker
-product, the projector a chain of dense matmuls and each walk node a dense
-mat-vec.  ``projector_state_from_axioms`` and ``unpruned_distribution`` are the
+``matmul_state_from_axioms`` and ``matmul_distribution`` are the
+Kronecker/matmul oracle: every observable a dense 2^N x 2^N Kronecker product
+(:func:`dense_reference.observable_matrix`), the projector a chain of dense
+matmuls and each walk node a dense mat-vec.  ``projector_state_from_axioms`` and ``unpruned_distribution`` are the
 signed-permutation oracle before it scanned single basis vectors and cut zero
 branches: the whole projector built column by column, every walk leaf visited.
 ``pruned_distribution`` is the walk before it carried eigenvectors: both
@@ -24,37 +24,18 @@ import axiombox
 from axiombox import cli, oracle, pauli
 from axiombox import stabilizer as stab
 from axiombox.experiment import philox_rng
-from axiombox.gf2 import BitVector, symplectic_product
+from axiombox.gf2 import BitVector
 from axiombox.pauli import PauliOperator
 
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),  # i*X*Z
-}
-_BARE = {**_SINGLE, (1, 1): np.array([[0, -1], [1, 0]], dtype=complex)}  # X*Z
-
-
-def kron_term_matrix(p):
-    m = np.ones((1, 1), dtype=complex)
-    for xb, zb in zip(p.x, p.z):  # qubit 1 is the leftmost factor
-        m = np.kron(m, _BARE[xb, zb])
-    return (1j ** p.phase) * m
-
-
-def kron_pauli_matrix(obs):
-    m = np.ones((1, 1), dtype=complex)
-    for xb, zb in zip(obs.base.x, obs.base.z):
-        m = np.kron(m, _SINGLE[xb, zb])
-    return float(obs.sign) * m
+import gf2_reference as ref
+from dense_reference import observable_matrix, permutation_matrix, term_matrix
 
 
 def matmul_state_from_axioms(pairs):
     dim = 2 ** (len(pairs[0][0]) // 2)
     projector = np.eye(dim, dtype=complex)
     for vector, sign in pairs:
-        omega = kron_pauli_matrix(pauli.from_proposition(vector))
+        omega = observable_matrix(pauli.from_proposition(vector))
         projector = projector @ (np.eye(dim, dtype=complex) + float(sign) * omega) / 2.0
     for i in range(dim):
         column = projector[:, i]
@@ -65,7 +46,7 @@ def matmul_state_from_axioms(pairs):
 
 
 def matmul_distribution(state, obs_list):
-    matrices = [kron_pauli_matrix(o) for o in obs_list]
+    matrices = [observable_matrix(o) for o in obs_list]
     outcomes = {}
 
     def walk(vec, index, signs):
@@ -238,7 +219,7 @@ def shortcut_case(kind, n, rng):
         destabilizers = list(stab.prepare(axioms).destabilizers)
         for p in range(n):
             for q in range(p):
-                if symplectic_product(destabilizers[p], destabilizers[q]):
+                if ref.symplectic(destabilizers[p].mask, destabilizers[q].mask, n):
                     destabilizers[p] ^= axioms[q][0]
         observables = [pauli.from_proposition(d) for d in destabilizers]
     return oracle.state_from_axioms(axioms), observables
@@ -367,18 +348,22 @@ def test_tableau_agrees_with_the_oracle_up_to_the_cap(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_term_matrix_equals_kron_for_every_pauli(n):
+    """The signed permutation of every Pauli, written out densely, is its
+    Kronecker product; a signed observable's is its signed I/X/Y/Z product."""
     for mask, phase in itertools.product(range(4 ** n), range(4)):
         p = PauliOperator.from_vector(BitVector.from_mask(mask, 2 * n), phase)
-        assert np.array_equal(oracle.pauli_term_matrix(p), kron_term_matrix(p))
+        dense = permutation_matrix(*oracle._signed_permutation(p))
+        assert np.array_equal(dense, term_matrix(p))
         if p.is_hermitian():
             obs = pauli.SignedObservable.from_pauli(p)
-            assert np.array_equal(oracle.pauli_term_matrix(obs), kron_pauli_matrix(obs))
+            dense = permutation_matrix(*oracle._signed_permutation(obs))
+            assert np.array_equal(dense, observable_matrix(obs))
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: oracle.pauli_term_matrix(PauliOperator.identity(13)),
+        lambda: oracle._signed_permutation(PauliOperator.identity(13)),
         lambda: oracle.state_from_axioms(
             [(BitVector.unit(13 + q, 26), 1) for q in range(13)]
         ),
@@ -386,7 +371,7 @@ def test_term_matrix_equals_kron_for_every_pauli(n):
             np.ones(2 ** 13), [pauli.SignedObservable.identity(13)]
         ),
     ],
-    ids=["pauli_term_matrix", "state_from_axioms", "distribution"],
+    ids=["signed_permutation", "state_from_axioms", "distribution"],
 )
 def test_dense_cap_at_thirteen_qubits(call):
     with pytest.raises(ValueError, match="13 qubits exceeds the dense cap of 12"):

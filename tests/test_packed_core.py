@@ -12,9 +12,16 @@ import pytest
 from axiombox import pauli
 from axiombox import stabilizer as stab
 from axiombox.experiment import philox_rng
-from axiombox.gf2 import BitVector, symplectic_product
+from axiombox.gf2 import BitVector
 from axiombox.pauli import PauliOperator, SignedObservable
 from axiombox.stabilizer import MeasurementKind
+
+import gf2_reference as ref
+
+
+def symplectic(u, v):
+    """The reference symplectic form of two (x|z) ``BitVector``s."""
+    return ref.symplectic(u.mask, v.mask, len(u) // 2)
 
 
 def frozen_phase_bit(target, factors):
@@ -35,7 +42,7 @@ def frozen_collapse(gens, destabs, obs, anticommuting, outcome):
         gens[p] = pauli.observable_product(gens[p], pivot)
     ov = obs.vector
     for p, d in enumerate(destabs):
-        if p != q and symplectic_product(ov, d):
+        if p != q and symplectic(ov, d):
             destabs[p] = d ^ pv
     destabs[q] = pv
     gens[q] = SignedObservable(obs.base, outcome * obs.sign)
@@ -45,9 +52,9 @@ def frozen_collapse(gens, destabs, obs, anticommuting, outcome):
 def frozen_measure(gens, destabs, obs, rng, outcome):
     """(outcome, kind, generators, destabilizers) after measuring ``obs``."""
     ov = obs.vector
-    anticommuting = [p for p, g in enumerate(gens) if symplectic_product(ov, g.vector)]
+    anticommuting = [p for p, g in enumerate(gens) if symplectic(ov, g.vector)]
     if not anticommuting:
-        factors = [g for g, d in zip(gens, destabs) if symplectic_product(ov, d)]
+        factors = [g for g, d in zip(gens, destabs) if symplectic(ov, d)]
         definite = obs.sign * (-1) ** frozen_phase_bit(obs.base, [g.base for g in factors])
         for g in factors:
             definite *= g.sign

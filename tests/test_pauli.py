@@ -4,10 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from axiombox import oracle, pauli
+from axiombox import pauli
 from axiombox.blackbox import BlackBoxConfig, BooleanFunction
 from axiombox.gf2 import BitVector
 from axiombox.pauli import PauliOperator, SignedObservable
+
+from dense_reference import term_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -40,11 +42,11 @@ class TestFromProposition:
     def test_z_from_01(self):
         o = pauli.from_proposition(BitVector("01"))
         assert o.sign == 1
-        np.testing.assert_allclose(oracle.pauli_term_matrix(o), SZ)
+        np.testing.assert_allclose(term_matrix(o), SZ)
 
     def test_y_from_11(self):
         o = pauli.from_proposition(BitVector("11"))
-        np.testing.assert_allclose(oracle.pauli_term_matrix(o), SY)
+        np.testing.assert_allclose(term_matrix(o), SY)
 
     def test_identity_from_zero(self):
         o = pauli.from_proposition(BitVector("0000"))
@@ -71,7 +73,7 @@ class TestPhaseIsAnInteger:
         assert p == q
         assert p.phase == int(phase) % 4
         assert type(p.phase) is int
-        oracle.pauli_term_matrix(pauli.multiply(p, q))
+        term_matrix(pauli.multiply(p, q))
 
 
 class TestMultiply:
@@ -91,7 +93,7 @@ class TestMultiply:
         assert p.z.to_tuple() == (0, 0, 0)
         assert p.phase == 2
         np.testing.assert_allclose(
-            oracle.pauli_term_matrix(p), -oracle.pauli_term_matrix(obs("XXX")), atol=1e-12
+            term_matrix(p), -term_matrix(obs("XXX")), atol=1e-12
         )
 
     def test_size_mismatch(self):
@@ -101,13 +103,13 @@ class TestMultiply:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_phase_exact_against_dense_all_pairs(self, n):
         paulis = all_canonical_paulis(n)
-        dense = {p: oracle.pauli_term_matrix(p) for p in paulis}
+        dense = {p: term_matrix(p) for p in paulis}
         for p in paulis:
             for q in paulis:
                 product = pauli.multiply(p, q)
                 assert np.allclose(
                     dense[p] @ dense[q],
-                    oracle.pauli_term_matrix(product),
+                    term_matrix(product),
                     atol=1e-12,
                 ), (p, q)
 
@@ -143,9 +145,9 @@ class TestCommutes:
     def test_matches_dense_commutator(self, n):
         paulis = all_canonical_paulis(n)
         for p in paulis:
-            mp = oracle.pauli_term_matrix(p)
+            mp = term_matrix(p)
             for q in paulis:
-                mq = oracle.pauli_term_matrix(q)
+                mq = term_matrix(q)
                 dense_commutes = np.allclose(mp @ mq, mq @ mp, atol=1e-12)
                 assert pauli.commutes(p, q) == int(dense_commutes)
 
@@ -159,7 +161,7 @@ class TestSignedObservable:
         minus_y = PauliOperator(BitVector("1"), BitVector("1"), 3)  # i^3 sx sz = -Y
         o = SignedObservable.from_pauli(minus_y)
         assert o.sign == -1
-        np.testing.assert_allclose(oracle.pauli_term_matrix(o), -SY)
+        np.testing.assert_allclose(term_matrix(o), -SY)
 
     def test_from_pauli_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -235,8 +237,8 @@ class TestConjugateByBlackbox:
                 o = pauli.from_proposition(BitVector.from_mask(mask, 2 * n))
                 conjugated = pauli.conjugate_by_blackbox(o, cfg)
                 np.testing.assert_allclose(
-                    u @ oracle.pauli_term_matrix(o) @ u.conj().T,
-                    oracle.pauli_term_matrix(conjugated),
+                    u @ term_matrix(o) @ u.conj().T,
+                    term_matrix(conjugated),
                     atol=1e-12,
                 )
 

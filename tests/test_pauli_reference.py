@@ -11,8 +11,10 @@ import random
 import pytest
 
 from axiombox import pauli
-from axiombox.gf2 import BitVector, symplectic_product
+from axiombox.gf2 import BitVector
 from axiombox.pauli import PauliOperator, SignedObservable
+
+import gf2_reference as ref
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {v: k for k, v in _LETTER_TO_XZ.items()}
@@ -46,7 +48,7 @@ def ref_multiply(p, q):
 
 
 def ref_commutes(p, q):
-    return 1 - symplectic_product(p.vector, q.vector)
+    return 1 - ref.symplectic(p.vector.mask, q.vector.mask, len(p.x))
 
 
 def ref_canonical_phase(x, z):

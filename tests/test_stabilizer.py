@@ -5,8 +5,11 @@ import pytest
 from axiombox import oracle, pauli
 from axiombox import stabilizer as stab
 from axiombox.blackbox import BlackBoxConfig
-from axiombox.gf2 import BitVector, in_span, symplectic_product
+from axiombox.gf2 import BitVector
 from axiombox.stabilizer import MeasurementKind, OutcomeDistribution
+
+import gf2_reference as ref
+from dense_reference import term_matrix
 
 
 def obs(text):
@@ -43,7 +46,7 @@ class TestPrepare:
         assert [str(g) for g in t.generators] == ["+Z"]
         t.check_invariants()
         # destabilizer must anticommute with Z: it is X or Y
-        assert symplectic_product(t.destabilizers[0], vec("Z")) == 1
+        assert ref.symplectic(t.destabilizers[0].mask, vec("Z").mask, 1) == 1
 
     def test_bell_state_generators(self):
         t = bell_state()
@@ -148,7 +151,7 @@ class TestMeasure:
 
     def test_ghz_dense_expectation_matches(self):
         state = oracle.state_from_axioms([(vec(s), 1) for s, _ in GHZ])
-        m = oracle.pauli_term_matrix(obs("+YYX"))
+        m = term_matrix(obs("+YYX"))
         assert abs(np.vdot(state, m @ state) - (-1.0)) < 1e-12
 
     def test_identity_observable(self):
@@ -198,7 +201,7 @@ class TestMeasure:
             if result.kind is not MeasurementKind.RANDOM:
                 continue
             psi = oracle.state_from_axioms(axioms)
-            projected = (psi + result.outcome * oracle.pauli_term_matrix(o) @ psi) / 2.0
+            projected = (psi + result.outcome * term_matrix(o) @ psi) / 2.0
             projected = projected / np.linalg.norm(projected)
             collapsed = oracle.state_from_axioms(
                 [(g.vector, g.sign) for g in result.post_state.generators]
@@ -216,14 +219,14 @@ class TestDeterminismEquivalence:
         for _ in range(10):
             axioms = stab.random_axioms(n, rng)
             t = stab.prepare(axioms)
-            matrix = t.generator_matrix()
+            rows = [g.vector.mask for g in t.generators]
             for mask in range(4 ** n):
                 v = BitVector.from_mask(mask, 2 * n)
                 o = pauli.from_proposition(v)
                 commuting = all(
-                    symplectic_product(v, g.vector) == 0 for g in t.generators
+                    ref.symplectic(mask, g.vector.mask, n) == 0 for g in t.generators
                 )
-                spanned = in_span(v, matrix) is not None
+                spanned = ref.span_coefficients(mask, rows) is not None
                 result = stab.measure_forced(t, o, 1)
                 deterministic = result.kind is MeasurementKind.DETERMINISTIC
                 assert commuting == spanned == deterministic
@@ -282,18 +285,13 @@ class TestJointDistribution:
     def test_probability_exponent_is_rank_growth(self):
         # every nonzero probability is 1/2^m with m the number of measured
         # observables jointly independent of the generators
-        from axiombox.gf2 import BitMatrix, rank
-
         rng = np.random.default_rng(14)
         for _ in range(50):
             n = int(rng.integers(1, 5))
             t = stab.prepare(stab.random_axioms(n, rng))
             count = int(rng.integers(1, n + 3))
             olist = stab.random_commuting_observables(n, count, rng)
-            gen_vectors = [g.vector for g in t.generators]
-            joint = BitMatrix(gen_vectors + [o.vector for o in olist],
-                              num_cols=2 * n)
-            m = rank(joint) - n
+            m = ref.rank([o.vector.mask for o in (*t.generators, *olist)]) - n
             dist = stab.joint_distribution(t, olist)
             support = dist.support()
             assert len(support) == 2 ** m
