@@ -22,6 +22,7 @@ them import them, inside the function: ``prepare``, ``blackbox``, ``check``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -75,6 +76,11 @@ def _write_output(text: str, out: Optional[str]) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
+            # The unwritten bytes stay in stdout's buffer, and the flush at exit
+            # would fail on them again: send them to os.devnull instead.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             raise ValueError(f"stdout cannot be written: {exc.strerror}") from None
         return
     try:

@@ -683,9 +683,15 @@ def test_failed_write_names_out(capsys):
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
 @pytest.mark.parametrize("extra", [[], ["--out", "-"]], ids=["default", "out_dash"])
-def test_failed_stdout_write_names_stdout(tmp_path, extra):
-    """A full stdout exits 1 with one stderr line that names stdout."""
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_failed_stdout_write_names_stdout(tmp_path, extra, unbuffered):
+    """A full stdout exits 1 with one stderr line that names stdout, whether
+    stdout is block-buffered (the default) or not: the bytes left in the buffer
+    must not fail a second time when the interpreter flushes it at exit."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     with open("/dev/full", "w") as full:
         done = subprocess.run(

@@ -5,7 +5,7 @@ mask with ``blackbox._parity``, and ``pauli._observable`` builds a signed observ
 straight from a mask for ``parse_observable``, ``from_proposition``, a
 tableau's ``generators`` and ``random_commuting_observables``.  These tests
 pin both to frozen copies of the value-object paths they replace, and count
-the ``BitVector``, ``BitMatrix`` and ``SignedObservable`` objects built, so
+the ``BitVector`` and ``SignedObservable`` objects built, so
 that no round trip through them comes back.
 """
 from collections import Counter
@@ -17,7 +17,7 @@ from axiombox import blackbox as bb
 from axiombox import pauli
 from axiombox import stabilizer as stab
 from axiombox.blackbox import BlackBoxConfig
-from axiombox.gf2 import BitMatrix, BitVector
+from axiombox.gf2 import BitVector
 from axiombox.pauli import SignedObservable
 from axiombox.stabilizer import StabilizerTableau
 
@@ -153,7 +153,7 @@ class TestObservable:
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts the BitVector, BitMatrix and SignedObservable objects built.
+    """Counts the BitVector and SignedObservable objects built.
     ``BitVector.from_mask`` and ``pauli._observable`` skip ``__init__``, so
     they are counted apart.  (A patched ``__new__`` would not do: deleting it
     again leaves the class rejecting constructor arguments.)"""
@@ -168,7 +168,7 @@ def built(monkeypatch):
     from_mask = BitVector.from_mask.__func__
     monkeypatch.setattr(BitVector, "from_mask", classmethod(counted("BitVector", from_mask)))
     monkeypatch.setattr(pauli, "_observable", counted("SignedObservable", pauli._observable))
-    for cls in (BitVector, BitMatrix, SignedObservable):
+    for cls in (BitVector, SignedObservable):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     return counts
 
@@ -180,9 +180,8 @@ class TestNoRoundTrips:
 
     def test_the_counter_sees_each_kind(self, built):
         BitVector.from_mask(1, 2)
-        BitMatrix([[1, 0]])
         pauli.parse_observable("-XZ")
-        assert built == {"BitVector": 2, "BitMatrix": 1, "SignedObservable": 1}
+        assert built == {"BitVector": 1, "SignedObservable": 1}
 
     def test_apply_blackbox_builds_none(self, state, built):
         cfg = BlackBoxConfig.from_labels([1, 2, 3, 0, 2, 2, 1, 3])
