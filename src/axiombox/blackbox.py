@@ -12,30 +12,74 @@ is TRUE.
 Label convention: the four functions are numbered ``y_k`` with
 ``k = 2*f(0) + f(1)``, so ``y0 = (0,0)``, ``y1 = (0,1)``, ``y2 = (1,0)``,
 ``y3 = (1,1)``.
+
+The value records here and in :mod:`axiombox.logic` are ``__slots__``
+classes on :class:`_Record`, which gives them a frozen dataclass's ``==``,
+``hash``, ``repr``, ``__match_args__``, copying and immutability.  They are
+not dataclasses because generating those methods at import was most of what
+``import axiombox`` spent on the core; ``dataclasses.fields``, ``replace``
+and ``asdict`` do not apply to them.
 """
 from __future__ import annotations
 
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import BitVector
 
 
-@dataclass(frozen=True)
-class BooleanFunction:
+class _Record:
+    """An immutable value with the fields named in ``_FIELDS``, in the order
+    the constructor takes them.  ``==``, ``hash``, ``repr``, ``match``,
+    copying and pickling read those fields, as a frozen dataclass's do; an
+    ``__init__`` sets its slots with ``object.__setattr__``, and any other
+    assignment or deletion raises ``FrozenInstanceError``."""
+
+    __slots__ = ()
+    _FIELDS: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._FIELDS
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class BooleanFunction(_Record):
     """One function {0,1} -> {0,1}, stored as its two values.
 
     The values and labels are taken through ``operator.index`` and stored as
     ``int``, so a non-integer such as ``0.0`` raises TypeError."""
 
-    f0: int
-    f1: int
+    __slots__ = _FIELDS = ("f0", "f1")
 
-    def __post_init__(self):
-        f0, f1 = operator.index(self.f0), operator.index(self.f1)
+    def __init__(self, f0: int, f1: int):
+        f0, f1 = operator.index(f0), operator.index(f1)
         if f0 not in (0, 1) or f1 not in (0, 1):
             raise ValueError(f"function values must be bits, got ({f0}, {f1})")
         object.__setattr__(self, "f0", int(f0))
@@ -56,17 +100,16 @@ class BooleanFunction:
         return f"y{self.label}"
 
 
-@dataclass(frozen=True)
-class BlackBoxConfig:
-    """Ordered tuple of the N Boolean functions a black box encodes."""
+class BlackBoxConfig(_Record):
+    """Ordered tuple of the N Boolean functions a black box encodes; it
+    compares, hashes and prints as its ``functions`` alone."""
 
-    functions: tuple
-    # Bit j = f_j(0) and f_j(1), packed once for proposition_truth.
-    _f0: int = field(init=False, repr=False, compare=False)
-    _f1: int = field(init=False, repr=False, compare=False)
+    # _f0, _f1: bit j = f_j(0) and f_j(1), packed once for proposition_truth.
+    __slots__ = ("functions", "_f0", "_f1")
+    _FIELDS = ("functions",)
 
-    def __post_init__(self):
-        fns = tuple(self.functions)
+    def __init__(self, functions: tuple):
+        fns = tuple(functions)
         if not fns:
             raise ValueError("a black box needs at least one function")
         if not all(isinstance(f, BooleanFunction) for f in fns):

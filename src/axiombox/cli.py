@@ -17,7 +17,9 @@ oracle disagreement), 2 usage error.
 
 ``experiment`` and ``oracle`` import numpy, so only the subcommands that use
 them import them, inside the function: ``prepare``, ``blackbox``, ``check``,
-``enumerate`` and ``ghz-demo`` run on the integer core alone.
+``measure``, ``enumerate`` and ``ghz-demo`` run on the integer core alone.
+``measure`` draws its bit from :class:`_Philox`, which gives the stream of
+``experiment.philox_rng`` on Python integers.
 """
 from __future__ import annotations
 
@@ -34,6 +36,38 @@ from . import stabilizer as stab
 from .gf2 import BitVector
 
 ORACLE_TOLERANCE = 1e-9
+_MASK64 = (1 << 64) - 1
+
+
+class _Philox:
+    """Philox4x64-10 (Salmon et al., SC'11) on Python ints: ``random()``
+    returns what ``numpy.random.Generator(Philox(key=[seed, substream]))``'s
+    ``random()`` does, bit for bit.  The 256-bit counter is incremented
+    before each block of four 64-bit words, and a draw is a word's top 53
+    bits times 2^-53."""
+
+    def __init__(self, seed: int, substream: int = 0):
+        self._key = (seed, substream)
+        self._counter = 0
+        self._words = []
+
+    def _block(self) -> list:
+        self._counter = (self._counter + 1) & ((1 << 256) - 1)
+        c0, c1, c2, c3 = (self._counter >> s & _MASK64 for s in (0, 64, 128, 192))
+        k0, k1 = self._key
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (
+                p1 >> 64 ^ c1 ^ k0, p1 & _MASK64, p0 >> 64 ^ c3 ^ k1, p0 & _MASK64
+            )
+            k0 = (k0 + 0x9E3779B97F4A7C15) & _MASK64
+            k1 = (k1 + 0xBB67AE8584CAA73B) & _MASK64
+        return [c3, c2, c1, c0]  # popped from the end: c0 is drawn first
+
+    def random(self) -> float:
+        if not self._words:
+            self._words = self._block()
+        return (self._words.pop() >> 11) * 2.0**-53
 
 
 def _path(value: str, option: str) -> Path:
@@ -134,11 +168,9 @@ def cmd_check(args) -> tuple[str, int]:
 
 
 def cmd_measure(args) -> tuple[str, int]:
-    from . import experiment as xp
-
     tableau = _load_tableau(args.state, "--state")
     obs = pauli.parse_observable(args.obs)
-    result = stab.measure(tableau, obs, rng=xp.philox_rng(args.seed))
+    result = stab.measure(tableau, obs, rng=_Philox(args.seed))
     return f"{result.kind.value} {result.outcome:+d}\n", 0
 
 

@@ -13,17 +13,22 @@ scan: the generator product's sign bit, and that bit XOR its phase bit.
 The two can legitimately differ, and when they do the witness is that
 operator-level phase bit; :func:`ghz_report` packages the canonical
 three-qubit instance of that divergence.
+
+:class:`Proposition`, :class:`DependenceReport` and :class:`GhzReport` are
+``__slots__`` records on :class:`blackbox._Record`, not dataclasses, so that
+importing the core generates no methods (see :mod:`axiombox.blackbox`).
+:class:`stabilizer.MeasurementResult` stays a dataclass, because callers
+derive results from it with ``dataclasses.replace``; ``dataclasses`` is
+loaded for it either way.  ``json`` loads only in :meth:`GhzReport.to_json`.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import blackbox as bb
 from . import pauli
 from . import stabilizer as stab
-from .blackbox import BlackBoxConfig
+from .blackbox import BlackBoxConfig, _Record
 from .gf2 import BitVector, _swap_halves
 from .pauli import SignedObservable
 from .stabilizer import StabilizerTableau
@@ -32,15 +37,15 @@ from .stabilizer import StabilizerTableau
 ENUMERATION_CAP = 16
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(_Record):
     """A 2N-bit proposition vector (alpha_1..alpha_N, beta_1..beta_N)."""
 
-    vector: BitVector
+    __slots__ = _FIELDS = ("vector",)
 
-    def __post_init__(self):
-        if len(self.vector) % 2:
-            raise ValueError(f"proposition vector length {len(self.vector)} is odd")
+    def __init__(self, vector: BitVector):
+        if len(vector) % 2:
+            raise ValueError(f"proposition vector length {len(vector)} is odd")
+        object.__setattr__(self, "vector", vector)
 
     @property
     def n_qubits(self) -> int:
@@ -110,8 +115,7 @@ class AxiomSet(StabilizerTableau):
         )
 
 
-@dataclass(frozen=True)
-class DependenceReport:
+class DependenceReport(_Record):
     """Classification of one proposition against one axiom set.
 
     ``coefficients``, ``classical_truth`` (the parity combination
@@ -121,10 +125,19 @@ class DependenceReport:
     between the classical and the quantum truth value.
     """
 
-    dependent: bool
-    coefficients: Optional[BitVector] = None
-    classical_truth: Optional[int] = None
-    phase_bit: Optional[int] = None
+    __slots__ = _FIELDS = ("dependent", "coefficients", "classical_truth", "phase_bit")
+
+    def __init__(
+        self,
+        dependent: bool,
+        coefficients: Optional[BitVector] = None,
+        classical_truth: Optional[int] = None,
+        phase_bit: Optional[int] = None,
+    ):
+        object.__setattr__(self, "dependent", dependent)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "classical_truth", classical_truth)
+        object.__setattr__(self, "phase_bit", phase_bit)
 
 
 class PropositionCounts(NamedTuple):
@@ -195,18 +208,39 @@ GHZ_AXIOM_STRINGS = ("YYX", "YXY", "XYY")
 GHZ_DERIVED_STRING = "XXX"
 
 
-@dataclass(frozen=True)
-class GhzReport:
+class GhzReport(_Record):
     """Outcome of the three-qubit classical-vs-quantum truth comparison."""
 
-    config: str
-    axiom_observables: tuple
-    axiom_parities: tuple
-    derived_observable: str
-    coefficients: tuple
-    classical: int
-    quantum: int
-    phase_bit: int
+    __slots__ = _FIELDS = (
+        "config",
+        "axiom_observables",
+        "axiom_parities",
+        "derived_observable",
+        "coefficients",
+        "classical",
+        "quantum",
+        "phase_bit",
+    )
+
+    def __init__(
+        self,
+        config: str,
+        axiom_observables: tuple,
+        axiom_parities: tuple,
+        derived_observable: str,
+        coefficients: tuple,
+        classical: int,
+        quantum: int,
+        phase_bit: int,
+    ):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "axiom_observables", axiom_observables)
+        object.__setattr__(self, "axiom_parities", axiom_parities)
+        object.__setattr__(self, "derived_observable", derived_observable)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "classical", classical)
+        object.__setattr__(self, "quantum", quantum)
+        object.__setattr__(self, "phase_bit", phase_bit)
 
     @property
     def contradiction(self) -> int:
@@ -217,6 +251,8 @@ class GhzReport:
         return "".join(line + "\n" for line in lines)
 
     def to_json(self) -> str:
+        import json  # only `ghz-demo --json` renders JSON
+
         fields = {name: getattr(self, attr) for name, attr, _ in _GHZ_FIELDS}
         return json.dumps(fields, indent=2)  # the tuple fields render as arrays
 

@@ -408,8 +408,15 @@ def measure(
     def draw() -> int:
         if rng is None:
             raise ValueError("random measurement outcome requires an rng")
-        x = rng.random()
-        if not 0.0 <= x < 1.0:  # written so that NaN fails too
+        random = getattr(rng, "random", None)
+        if not callable(random):
+            raise ValueError(f"rng of type {type(rng).__name__} has no random() method")
+        x = random()
+        try:
+            inside = 0.0 <= x < 1.0  # written so that NaN fails too
+        except TypeError:  # not comparable with a float, such as a str
+            inside = False
+        if not inside:
             raise ValueError(f"rng.random() returned {x!r}, not a float in [0, 1)")
         return int(x >= 0.5)
 

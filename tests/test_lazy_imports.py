@@ -1,11 +1,14 @@
-"""numpy loads only when a command needs it.
+"""numpy and json load only when a command needs them.
 
 Each check runs in a fresh interpreter, since this test process has long
-since imported numpy: ``import axiombox`` and the exact subcommands must not
-load it, and the names served by ``experiment`` resolve on first use.
+since imported numpy: ``import axiombox`` must load neither, the exact
+subcommands and ``measure`` must not load numpy, and the names served by
+``experiment`` resolve on first use.  ``measure`` draws from the CLI's
+integer Philox, which must give ``experiment.philox_rng``'s stream.
 """
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,9 @@ import pytest
 
 import axiombox
 from axiombox import cli
+from axiombox import stabilizer as stab
+from axiombox.experiment import philox_rng
+from axiombox.pauli import parse_observable
 
 SRC = str(Path(axiombox.__file__).parents[1])
 BELL_AXIOM_FILE = "+ZZ\n+XX\n"
@@ -58,6 +64,17 @@ def test_import_loads_no_numpy(module):
     assert run_code(code) is False
 
 
+@pytest.mark.parametrize("module", ["axiombox", "axiombox.cli"])
+def test_import_loads_neither_json_nor_numpy(module):
+    # This code imports json itself, so only the modules the import adds count.
+    code = (
+        f"import sys; before = set(sys.modules); import {module}; "
+        "added = sorted({'json', 'numpy'} & (set(sys.modules) - before)); "
+        "import json; print(json.dumps(added))"
+    )
+    assert run_code(code) == []
+
+
 EXACT_COMMANDS = {
     "prepare": ["prepare", "--axioms", "{dir}/bell.axioms"],
     "blackbox": ["blackbox", "--state", "{dir}/bell.axioms", "--config", "{dir}/box.cfg"],
@@ -75,10 +92,36 @@ def test_exact_subcommand_loads_no_numpy(files, command):
     assert out.read_text()
 
 
-def test_measure_loads_numpy(files):
-    argv = ["measure", "--state", f"{files}/bell.axioms", "--obs", "ZI",
-            "--out", str(files / "out.txt")]
-    assert numpy_after_main(argv) == [0, True]
+def test_measure_loads_no_numpy(files):
+    out = files / "out.txt"
+    argv = ["measure", "--state", f"{files}/bell.axioms", "--obs", "ZI", "--out", str(out)]
+    assert numpy_after_main(argv) == [0, False]
+    assert out.read_text() in ("random +1\n", "random -1\n")
+
+
+_TOP = (1 << 64) - 1
+_KEYS = random.Random(33)
+PHILOX_KEYS = [(0, 0), (0, _TOP), (_TOP, 0), (_TOP, _TOP)] + [
+    (_KEYS.getrandbits(64), _KEYS.getrandbits(64)) for _ in range(200)
+]
+
+
+def test_integer_philox_draws_numpy_philox_stream():
+    for seed, substream in PHILOX_KEYS:
+        mine, numpys = cli._Philox(seed, substream), philox_rng(seed, substream)
+        # 23 draws cross into a sixth block of four words.
+        assert [mine.random() for _ in range(23)] == [numpys.random() for _ in range(23)]
+
+
+@pytest.mark.parametrize("seed", [*range(64), _TOP])
+def test_measure_prints_what_the_numpy_stream_gives(tmp_path, capsys, seed):
+    path = tmp_path / "state.txt"
+    path.write_text("+ZI\n+IZ\n")
+    assert cli.main(["measure", "--state", str(path), "--obs", "+XI", "--seed", str(seed)]) == 0
+    state = stab.StabilizerTableau.from_text("+ZI\n+IZ\n")
+    result = stab.measure(state, parse_observable("+XI"), rng=philox_rng(seed))
+    assert result.kind is stab.MeasurementKind.RANDOM
+    assert capsys.readouterr().out == f"random {result.outcome:+d}\n"
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -136,6 +136,20 @@ def test_measure_rejects_a_draw_outside_the_unit_interval(value):
     assert rng.draws == 1  # a definite outcome draws nothing
 
 
+def test_measure_rejects_an_rng_without_a_random_method():
+    state = StabilizerTableau.from_text("+ZI\n+IZ\n")
+    with pytest.raises(ValueError, match="rng of type object has no random\\(\\) method"):
+        stab.measure(state, pauli.parse_observable("+XI"), object())
+
+
+def test_measure_rejects_a_draw_that_is_not_a_number():
+    state = StabilizerTableau.from_text("+ZI\n+IZ\n")
+    with pytest.raises(ValueError, match="rng.random\\(\\) returned '0.3', not a float"):
+        stab.measure(state, pauli.parse_observable("+XI"), StubRng("0.3"))
+    # An int in [0, 1) compares as its float does, and stays accepted.
+    assert stab.measure(state, pauli.parse_observable("+XI"), StubRng(0)).outcome == 1
+
+
 @pytest.mark.parametrize("value,outcome", [(0.0, 1), (0.4999, 1), (0.5, -1), (0.9999, -1)])
 def test_measure_reads_a_draw_in_the_unit_interval(value, outcome):
     state = StabilizerTableau.from_text("+Z\n")
