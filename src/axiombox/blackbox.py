@@ -16,9 +16,11 @@ Label convention: the four functions are numbered ``y_k`` with
 The value records here and in :mod:`axiombox.logic` are ``__slots__``
 classes on :class:`_Record`, which gives them a frozen dataclass's ``==``,
 ``hash``, ``repr``, ``__match_args__``, copying and immutability.  They are
-not dataclasses because generating those methods at import was most of what
-``import axiombox`` spent on the core; ``dataclasses.fields``, ``replace``
-and ``asdict`` do not apply to them.
+not dataclasses because a dataclass generates and compiles its methods when
+its module is imported, about 2 ms of ``import axiombox`` for these five;
+``dataclasses.fields``, ``replace`` and ``asdict`` do not apply to them.
+:class:`stabilizer.MeasurementResult` stays a dataclass, because callers
+derive results from it with ``dataclasses.replace``.
 """
 from __future__ import annotations
 

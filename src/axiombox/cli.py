@@ -52,7 +52,7 @@ class _Philox:
         self._words = []
 
     def _block(self) -> list:
-        self._counter = (self._counter + 1) & ((1 << 256) - 1)
+        self._counter += 1  # its four words are read mod 2^64, so it wraps at 2^256
         c0, c1, c2, c3 = (self._counter >> s & _MASK64 for s in (0, 64, 128, 192))
         k0, k1 = self._key
         for _ in range(10):
