@@ -41,13 +41,13 @@ _MASK64 = (1 << 64) - 1
 
 class _Philox:
     """Philox4x64-10 (Salmon et al., SC'11) on Python ints: ``random()``
-    returns what ``numpy.random.Generator(Philox(key=[seed, substream]))``'s
+    returns what ``numpy.random.Generator(Philox(key=[seed, 0]))``'s
     ``random()`` does, bit for bit.  The 256-bit counter is incremented
     before each block of four 64-bit words, and a draw is a word's top 53
     bits times 2^-53."""
 
-    def __init__(self, seed: int, substream: int = 0):
-        self._key = (seed, substream)
+    def __init__(self, seed: int):
+        self._key = (seed, 0)
         self._counter = 0
         self._words = []
 

@@ -100,15 +100,13 @@ def test_measure_loads_no_numpy(files):
 
 
 _TOP = (1 << 64) - 1
-_KEYS = random.Random(33)
-PHILOX_KEYS = [(0, 0), (0, _TOP), (_TOP, 0), (_TOP, _TOP)] + [
-    (_KEYS.getrandbits(64), _KEYS.getrandbits(64)) for _ in range(200)
-]
+_SEEDS = random.Random(7)
+PHILOX_SEEDS = [0, _TOP] + [_SEEDS.getrandbits(64) for _ in range(200)]
 
 
 def test_integer_philox_draws_numpy_philox_stream():
-    for seed, substream in PHILOX_KEYS:
-        mine, numpys = cli._Philox(seed, substream), philox_rng(seed, substream)
+    for seed in PHILOX_SEEDS:
+        mine, numpys = cli._Philox(seed), philox_rng(seed)
         # 23 draws cross into a sixth block of four words.
         assert [mine.random() for _ in range(23)] == [numpys.random() for _ in range(23)]
 
