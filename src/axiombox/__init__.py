@@ -116,8 +116,6 @@ _LAZY = frozenset({
     "classify_record",
     "decay_study",
     "philox_rng",
-    "reproduce_q1",
-    "reproduce_q2",
     "sample",
 })
 

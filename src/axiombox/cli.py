@@ -12,6 +12,9 @@ returns its text and exit status; ``main`` checks ``--seed`` and ``--out``
 before the work and writes the text once, to stdout or to the ``--out`` file
 in UTF-8, so the file gets the bytes stdout would.
 
+Every tableau or axiom file (``--axioms``, ``--state``) is read by
+:meth:`stabilizer.StabilizerTableau.from_text`, the one grammar for both.
+
 Exit codes: 0 success, 1 domain error (invalid axioms, size mismatches,
 oracle disagreement), 2 usage error.
 

@@ -43,6 +43,11 @@ class Proposition(_Record):
     __slots__ = _FIELDS = ("vector",)
 
     def __init__(self, vector: BitVector):
+        if not isinstance(vector, BitVector):
+            raise TypeError(
+                f"proposition vector must be a BitVector, got {type(vector).__name__}; "
+                "use Proposition.from_string for Pauli letters"
+            )
         if len(vector) % 2:
             raise ValueError(f"proposition vector length {len(vector)} is odd")
         object.__setattr__(self, "vector", vector)

@@ -11,6 +11,11 @@ An operator is stored as one 2N-bit (x|z) int mask in the :mod:`gf2` layout,
 the vector J = (alpha|beta) of the paper: products, commutation, the
 canonical phase, parsing and formatting are shifts, ANDs and bit counts on
 that mask.  Qubit 1 is the leftmost tensor factor and bit 0 of the x/z parts.
+``x``, ``z``, ``vector`` and a signed observable's ``base`` are views built
+on each read.  A :class:`SignedObservable` is a :class:`PauliOperator`, so
+:func:`multiply` and :func:`commutes` take it directly, and it equals and
+hashes like any operator of the same mask and phase.  The text format is
+signed Pauli letters, ``-YYX``, in ASCII ``IXYZ`` of either case only.
 """
 from __future__ import annotations
 

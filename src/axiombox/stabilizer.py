@@ -21,8 +21,8 @@ Tableaus are value-like: measurement returns a fresh post-state instead of
 mutating, so states can be shared.  A measurement does only the work its
 result is read for: a collapse runs only where a post-state is read.  A
 :class:`MeasurementResult` from :func:`measure` or :func:`measure_forced`
-runs it on the first read of ``post_state``, and the joint pass of
-:func:`_outcome_set` when another observable follows.
+runs it on the first read of its cached ``post_state``, and the joint pass
+of :func:`_outcome_set` when another observable follows.
 Deferring it is safe because tableaus are immutable and the outcome bit is
 drawn at call time, so the random stream is consumed in call order whether
 or not a post-state is ever read.
@@ -31,10 +31,11 @@ Signs only XOR, so they may be affine forms over free outcomes: one pass of m
 measurements gives the joint outcome set, a reference outcome XOR any
 combination of r columns.  Joint distributions are stored as that affine
 set: ``probability`` costs O(r*m) bit operations, and the 2^r points are
-listed only when ``outcomes`` or ``support()`` is read.
+listed once, into the cached ``OutcomeDistribution._table``, when read.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass
@@ -144,22 +145,20 @@ class StabilizerTableau:
 class MeasurementResult:
     """The outcome, kind and post-state of one measurement.
 
-    A random result of :func:`measure` or :func:`measure_forced` holds the
-    arguments of its :func:`_collapse` in place of the post-state, runs it on
-    the first read of ``post_state`` and keeps the tableau it returns.  The
-    generated ``==`` and repr read ``post_state`` like any field; the
-    generated hash reads it too and raises ``TypeError``, because a
-    :class:`StabilizerTableau` is unhashable.
+    ``post_state`` is a :func:`functools.cached_property`.  A random result
+    of :func:`measure` or :func:`measure_forced` holds its :func:`_collapse`'s
+    arguments in ``_collapse_args`` and runs it on the first read; any other
+    result holds its post-state from the start.  The generated ``==`` and
+    repr read ``post_state`` like any field; the generated hash reads it too
+    and raises ``TypeError``, because a :class:`StabilizerTableau` is unhashable.
     """
 
     outcome: int  # +1 or -1
     kind: MeasurementKind
-    post_state: StabilizerTableau  # the property below
+    post_state: StabilizerTableau  # the cached property below
 
     def __init__(self, outcome: int, kind: MeasurementKind, post_state: StabilizerTableau):
-        self.__dict__.update(
-            outcome=outcome, kind=kind, _post_state=post_state, _collapse_args=()
-        )
+        self.__dict__.update(outcome=outcome, kind=kind, post_state=post_state)
 
     @classmethod
     def _deferred(
@@ -168,20 +167,16 @@ class MeasurementResult:
         """The result of :func:`_measure_deferred`'s ``(bit, kind, collapse)``
         on ``t``; a random one collapses when ``post_state`` is first read."""
         result = cls.__new__(cls)
-        result.__dict__.update(
-            outcome=-1 if bit else 1,
-            kind=kind,
-            _post_state=None if collapse else t,
-            _collapse_args=collapse,
-        )
+        outcome = -1 if bit else 1
+        if collapse:
+            result.__dict__.update(outcome=outcome, kind=kind, _collapse_args=collapse)
+        else:
+            result.__dict__.update(outcome=outcome, kind=kind, post_state=t)
         return result
 
-    @property
+    @functools.cached_property
     def post_state(self) -> StabilizerTableau:
-        collapse = self._collapse_args
-        if collapse:
-            self.__dict__.update(_post_state=_collapse(*collapse), _collapse_args=())
-        return self._post_state
+        return _collapse(*self._collapse_args)
 
 
 # _SIGN_BYTES[b]: bit k of byte b as the signed char -1 if set, else +1.
@@ -204,14 +199,13 @@ def _sign_tuples(words: Sequence[int], m: int) -> list:
 class OutcomeDistribution:
     """Exact probabilities over sign-vectors (one +-1 entry per observable).
 
-    Built from a dict, it holds that dict.  Built by :func:`joint_distribution`,
-    it holds the affine set of :func:`_outcome_set`: ``_pivots`` maps the
-    lowest set bit of each column to the column, in column order.  Its
-    probabilities are exactly 2^-r on the set, and the dict is expanded from
-    the set only when read.
+    Its readers go through ``_table``, the dict of probabilities.  Built from
+    a dict, it holds a copy there, and ``_pivots`` is None.  Built by
+    :func:`joint_distribution`, it holds the affine set of :func:`_outcome_set`
+    (``_reference``, and ``_pivots`` mapping the lowest set bit of each column
+    to the column, in column order), exactly 2^-r on each point, and
+    ``_table`` is a :func:`functools.cached_property` that lists the points.
     """
-
-    __slots__ = ("_outcomes", "_num_observables", "_reference", "_pivots")
 
     def __init__(self, outcomes: Dict[tuple, float], num_observables: int):
         total = 0.0
@@ -225,9 +219,9 @@ class OutcomeDistribution:
             total += prob
         if not abs(total - 1.0) <= _TOLERANCE:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        self._outcomes = dict(outcomes)
+        self._table = dict(outcomes)
         self._num_observables = num_observables
-        self._reference = self._pivots = None
+        self._pivots = None
 
     @classmethod
     def _affine(cls, reference: int, columns: Sequence[int], m: int) -> "OutcomeDistribution":
@@ -240,19 +234,17 @@ class OutcomeDistribution:
         if 0 in pivots or len(pivots) != len(columns):
             raise ValueError("columns need distinct lowest set bits")
         dist = cls.__new__(cls)
-        dist._outcomes = None
         dist._num_observables = m
         dist._reference = reference
         dist._pivots = pivots
         return dist
 
-    def _expanded(self) -> dict:
-        if self._outcomes is None:
-            columns = list(self._pivots.values())[::-1]  # keeps the listing order
-            support = [self._reference ^ s for s in _span(columns)]
-            keys = _sign_tuples(support, self._num_observables)
-            self._outcomes = dict.fromkeys(keys, 0.5 ** len(self._pivots))
-        return self._outcomes
+    @functools.cached_property
+    def _table(self) -> dict:
+        columns = list(self._pivots.values())[::-1]  # keeps the listing order
+        support = [self._reference ^ s for s in _span(columns)]
+        keys = _sign_tuples(support, self._num_observables)
+        return dict.fromkeys(keys, 0.5 ** len(self._pivots))
 
     @property
     def num_observables(self) -> int:
@@ -260,11 +252,11 @@ class OutcomeDistribution:
 
     @property
     def outcomes(self) -> dict:
-        return dict(self._expanded())
+        return dict(self._table)
 
     def probability(self, signs: tuple) -> float:
         if self._pivots is None:
-            return self._outcomes.get(tuple(signs), 0.0)
+            return self._table.get(tuple(signs), 0.0)
         signs = tuple(signs)
         if len(signs) != self._num_observables:
             return 0.0
@@ -289,13 +281,13 @@ class OutcomeDistribution:
         return True
 
     def support(self) -> list:
-        return sorted(s for s, p in self._expanded().items() if p > 0.0)
+        return sorted(s for s, p in self._table.items() if p > 0.0)
 
     def max_deviation(self, other: "OutcomeDistribution") -> float:
         """Largest absolute probability difference over all sign-vectors."""
         if self._num_observables != other._num_observables:
             raise ValueError("distributions are over different observable counts")
-        mine, theirs = self._expanded(), other._expanded()
+        mine, theirs = self._table, other._table
         return max(
             (abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in set(mine) | set(theirs)),
             default=0.0,
@@ -321,7 +313,7 @@ class OutcomeDistribution:
     def __repr__(self) -> str:
         body = ", ".join(
             f"{''.join('+' if s == 1 else '-' for s in k)}: {v}"
-            for k, v in sorted(self._expanded().items(), reverse=True)
+            for k, v in sorted(self._table.items(), reverse=True)
         )
         return f"OutcomeDistribution({{{body}}})"
 

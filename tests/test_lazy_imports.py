@@ -132,6 +132,10 @@ def test_every_public_name_resolves_and_is_listed():
     assert run_code(code) == [[], []]
 
 
+def test_only_listed_names_are_served_lazily():
+    assert axiombox._LAZY <= set(axiombox.__all__)
+
+
 def test_lazy_names_are_listed_before_first_use():
     code = (
         "import json, sys, axiombox; "

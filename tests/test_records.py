@@ -189,8 +189,13 @@ def test_function_values_are_stored_as_int():
         (lambda: bb.BlackBoxConfig(()), ValueError),
         (lambda: bb.BlackBoxConfig((FNS[0], (0, 1))), TypeError),
         (lambda: logic.Proposition(BitVector("011")), ValueError),
+        (lambda: logic.Proposition("XX"), TypeError),
+        (lambda: logic.Proposition([0, 1, 1, 0]), TypeError),
     ],
-    ids=["float-value", "non-bit-value", "empty-config", "foreign-entry", "odd-length"],
+    ids=[
+        "float-value", "non-bit-value", "empty-config", "foreign-entry", "odd-length",
+        "str-vector", "list-vector",
+    ],
 )
 def test_constructors_keep_their_validation(build, error):
     with pytest.raises(error):
