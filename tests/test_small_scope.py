@@ -9,9 +9,10 @@ enumeration does not lean on :func:`stabilizer.prepare`.  Per state:
 - N <= 3: every nonzero observable's kind and definite outcome under
   ``measure_forced`` against the oracle's <psi|P|psi>, and ``prepare``,
   ``StabilizerTableau.from_text`` and ``AxiomSet`` giving equal tableaus;
-- N <= 2: the post-state of every random observable, for both forced
-  outcomes, against the oracle's normalized projection up to phase, and
-  ``joint_distribution`` of every commuting ordered pair against
+- N <= 2: the post-state of every random observable and its negation, for
+  both forced outcomes, against the oracle's normalized projection up to
+  phase, and ``joint_distribution`` of every commuting ordered pair, every
+  other pair with its first observable negated, against
   ``oracle.distribution``.
 """
 import functools
@@ -118,19 +119,19 @@ def test_post_states_match_the_oracle_projection(n):
         tableau = prepare(pairs)
         psi = oracle.state_from_axioms(pairs)
         for obs, perm, factors in observables(n):
-            for forced in (1, -1):
-                result = measure_forced(tableau, obs, forced)
+            for sign, forced in itertools.product((1, -1), repeat=2):
+                result = measure_forced(tableau, obs if sign == 1 else obs.negated(), forced)
                 if result.kind is MeasurementKind.DETERMINISTIC:
                     break
                 post = result.post_state
                 post.check_invariants()
-                projected = psi + forced * apply(perm, factors, psi)
+                projected = psi + sign * forced * apply(perm, factors, psi)
                 projected /= np.linalg.norm(projected)
                 overlap = np.vdot(oracle.state_from_axioms(post), projected)
                 assert abs(abs(overlap) - 1.0) < 1e-12
                 checked += 1
     # 2^n - 1 of the 4^n - 1 nonzero observables are in the stabilizer group.
-    assert checked == COUNTS[n][1] * (4 ** n - 2 ** n) * 2
+    assert checked == COUNTS[n][1] * (4 ** n - 2 ** n) * 4
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -140,6 +141,7 @@ def test_joint_distributions_of_commuting_pairs_match_the_oracle(n):
         for (a, _, _), (b, _, _) in itertools.product(observables(n), repeat=2)
         if pauli.commutes(a, b)
     ]
+    commuting[::2] = [(a.negated(), b) for a, b in commuting[::2]]
     for state in states(n):
         pairs = axiom_pairs(state, n)
         tableau = prepare(pairs)
