@@ -14,13 +14,7 @@ Label convention: the four functions are numbered ``y_k`` with
 ``y3 = (1,1)``.
 
 The value records here and in :mod:`axiombox.logic` are ``__slots__``
-classes on :class:`_Record`, which gives them a frozen dataclass's ``==``,
-``hash``, ``repr``, ``__match_args__``, copying and immutability.  They are
-not dataclasses because a dataclass generates and compiles its methods when
-its module is imported, about 2 ms of ``import axiombox`` for these five;
-``dataclasses.fields``, ``replace`` and ``asdict`` do not apply to them.
-:class:`stabilizer.MeasurementResult` stays a dataclass, because callers
-derive results from it with ``dataclasses.replace``.
+classes on :class:`_Record`, whose docstring says why they are not dataclasses.
 """
 from __future__ import annotations
 
@@ -38,7 +32,15 @@ class _Record:
     the constructor takes them.  ``==``, ``hash``, ``repr``, ``match``,
     copying and pickling read those fields, as a frozen dataclass's do; an
     ``__init__`` sets its slots with ``object.__setattr__``, and any other
-    assignment or deletion raises ``FrozenInstanceError``."""
+    assignment or deletion raises ``FrozenInstanceError``.
+
+    The core's five records (``BooleanFunction``, ``BlackBoxConfig``,
+    ``Proposition``, ``DependenceReport``, ``GhzReport``) are not
+    dataclasses because a dataclass generates and compiles its methods when
+    its module is imported, about 2 ms of ``import axiombox`` for these five;
+    ``dataclasses.fields``, ``replace`` and ``asdict`` do not apply to them.
+    :class:`stabilizer.MeasurementResult` stays a dataclass, because callers
+    derive results from it with ``dataclasses.replace``."""
 
     __slots__ = ()
     _FIELDS: tuple = ()

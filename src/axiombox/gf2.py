@@ -2,8 +2,8 @@
 
 Vectors pack their bits into a single Python integer (bit ``j`` of the mask
 is entry ``j``), so XOR/AND of whole vectors run word-parallel in C no matter
-the length.  Everything here is immutable and hashable; all arithmetic is
-exact, with no floating point anywhere.  The one elimination, ``_echelon``,
+the length.  Vectors are immutable and hashable; all arithmetic is exact,
+with no floating point anywhere.  The one elimination, ``_echelon``,
 works on one int per row, the row's combination of original rows packed
 above its bits, and returns fully reduced pivot rows: each is zero at every
 other pivot column, so a pivot row of a full-rank square system is a unit
@@ -12,14 +12,16 @@ Russians" method: each row takes in the pivots of a block of up to 8 columns
 with one lookup in the table of their combinations, with the same output as
 eliminating one column at a time.  The transposed pairing matrix that
 ``prepare`` eliminates is read from one string of all the masks' bits, one
-strided slice per column.
+strided slice per column.  The one symplectic test, which decides whether
+two Paulis commute, swaps one mask's halves (``_swap_halves``) and takes the
+parity of its AND with the other.
 
 Whether a vector lies in the span of others is not asked here:
 :func:`axiombox.logic.classify` reads it off a prepared tableau.
-``BitMatrix``, ``rank`` and ``symplectic_product`` serve no other module and
-are not re-exported by the package; they stay because the benchmark
-harness's own tests (``perfbench/tests``) check its generated axioms with
-them.
+``BitMatrix`` (its shape and row masks only), ``rank`` and
+``symplectic_product`` serve no other module and are not re-exported by the
+package; they stay because the benchmark harness's own tests
+(``perfbench/tests``) check its generated axioms with them.
 
 Symplectic layout convention, shared by every module in this package: a
 vector of even length ``2N`` is split as ``(x-part | z-part)`` with qubit
@@ -167,22 +169,6 @@ class BitMatrix:
     def row_masks(self) -> tuple:
         return self._rows
 
-    def __iter__(self) -> Iterator[BitVector]:
-        for m in self._rows:
-            yield BitVector.from_mask(m, self._num_cols)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return self._rows == other._rows and self._num_cols == other._num_cols
-
-    def __hash__(self) -> int:
-        return hash((self._rows, self._num_cols))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"'{''.join(str(b) for b in r)}'" for r in self)
-        return f"BitMatrix([{body}])"
-
 
 def _echelon(rows: Sequence[int]) -> list:
     """Gauss-Jordan elimination of the row masks with combination tracking.
@@ -304,18 +290,16 @@ def symplectic_product(v1: BitVector, v2: BitVector) -> int:
         raise ValueError(f"length mismatch: {len(v1)} vs {len(v2)}")
     if len(v1) % 2:
         raise ValueError(f"symplectic product needs even length, got {len(v1)}")
-    return _symplectic(v1.mask, v2.mask, len(v1) // 2)
-
-
-def _symplectic(a: int, b: int, n: int) -> int:
-    """:func:`symplectic_product` of two 2n-bit masks, without length checks."""
-    return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
+    n = len(v1) // 2
+    return (_swap_halves(v1.mask, n) & v2.mask).bit_count() & 1
 
 
 def _swap_halves(mask: int, n: int) -> int:
-    """The 2n-bit (x|z) mask with its halves swapped, (z|x).  A 2n-bit mask b
-    then has ``_symplectic(mask, b, n) == (_swap_halves(mask, n) & b).bit_count() & 1``:
-    one AND and one popcount per row tested against ``mask``."""
+    """The 2n-bit (x|z) mask with its halves swapped, (z|x).  The symplectic
+    form of ``mask`` with a 2n-bit mask b, ``sum_j (x_j*z'_j + z_j*x'_j) mod 2``,
+    is then ``(_swap_halves(mask, n) & b).bit_count() & 1``: one AND and one
+    popcount per row tested against ``mask``.  It is the package's one
+    symplectic test."""
     return mask >> n | (mask & ~(-1 << n)) << n
 
 
@@ -332,8 +316,8 @@ def _commute_pairwise(masks: Sequence[int], n: int) -> bool:
 
 def _pairing_transpose(masks: Sequence[int], n: int) -> list:
     """The 2n rows of the transposed pairing matrix of 2n-bit (x|z) masks:
-    bit q of row j is ``_symplectic(1 << j, masks[q], n)``, bit j of masks[q]
-    with its halves swapped.  The masks are written as one string of bits,
+    bit q of row j is the symplectic form of the unit vector e_j with
+    masks[q], which is bit j of masks[q] with its halves swapped.  The masks are written as one string of bits,
     each highest bit first and the last mask first, so bit j of every mask
     is the strided slice ``bits[2n - 1 - j :: 2n]``, read as one int with
     masks[0] at bit 0.  No masks give 2n zero rows."""

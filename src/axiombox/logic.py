@@ -15,11 +15,8 @@ operator-level phase bit; :func:`ghz_report` packages the canonical
 three-qubit instance of that divergence.
 
 :class:`Proposition`, :class:`DependenceReport` and :class:`GhzReport` are
-``__slots__`` records on :class:`blackbox._Record`, not dataclasses, so that
-importing the core generates no methods (see :mod:`axiombox.blackbox`).
-:class:`stabilizer.MeasurementResult` stays a dataclass, because callers
-derive results from it with ``dataclasses.replace``; ``dataclasses`` is
-loaded for it either way.  ``json`` loads only in :meth:`GhzReport.to_json`.
+``__slots__`` records on :class:`blackbox._Record`, which says why they are
+not dataclasses.  ``json`` loads only in :meth:`GhzReport.to_json`.
 """
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ import operator
 from typing import Sequence
 
 from .blackbox import BlackBoxConfig, _parity
-from .gf2 import BitVector, _symplectic
+from .gf2 import BitVector, _swap_halves
 
 _X_DIGITS = str.maketrans("IXYZixyz", "01100110")
 _Z_DIGITS = str.maketrans("IXYZixyz", "00110011")
@@ -32,22 +32,23 @@ _Z_DIGITS = str.maketrans("IXYZixyz", "00110011")
 class PauliOperator:
     """``i^phase * prod_j sx^{x_j} sz^{z_j}`` as one (x|z) mask; immutable.
 
-    The public constructors take the phase through ``operator.index``, so a
-    non-integer phase raises TypeError instead of being stored."""
+    Every constructor stores its phase through ``_set``, the one phase
+    check: a non-integer phase or sign raises TypeError instead of being
+    stored."""
 
     __slots__ = ("_mask", "_n", "_phase")
 
     def __init__(self, x: BitVector, z: BitVector, phase: int = 0):
         if len(x) != len(z):
             raise ValueError(f"x/z length mismatch: {len(x)} vs {len(z)}")
-        self._set(x.mask | z.mask << len(x), len(x), operator.index(phase))
+        self._set(x.mask | z.mask << len(x), len(x), phase)
 
     def _set(self, mask: int, n: int, phase: int) -> None:
         if n < 1:
             raise ValueError("a Pauli operator needs at least one qubit")
         self._mask = mask
         self._n = n
-        self._phase = phase % 4
+        self._phase = operator.index(phase) % 4
 
     @classmethod
     def _from_mask(cls, mask: int, n: int, phase: int = 0) -> "PauliOperator":
@@ -64,7 +65,7 @@ class PauliOperator:
         """A plain PauliOperator, any phase allowed, from a 2N-bit (x|z) vector."""
         if len(v) % 2:
             raise ValueError(f"cannot halve a vector of odd length {len(v)}")
-        return PauliOperator._from_mask(v.mask, len(v) // 2, operator.index(phase))
+        return PauliOperator._from_mask(v.mask, len(v) // 2, phase)
 
     @property
     def x(self) -> BitVector:
@@ -141,7 +142,7 @@ def commutes(p: PauliOperator, q: PauliOperator) -> int:
     """1 if PQ == QP, else 0; phases never matter."""
     if p._n != q._n:
         raise ValueError(f"size mismatch: {p._n} vs {q._n}")
-    return 1 - _symplectic(p._mask, q._mask, p._n)
+    return 1 - ((_swap_halves(p._mask, p._n) & q._mask).bit_count() & 1)
 
 
 def _canonical_phase(mask: int, n: int) -> int:

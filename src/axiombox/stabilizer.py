@@ -147,10 +147,11 @@ class MeasurementResult:
 
     ``post_state`` is a :func:`functools.cached_property`.  A random result
     of :func:`measure` or :func:`measure_forced` holds its :func:`_collapse`'s
-    arguments in ``_collapse_args`` and runs it on the first read; any other
-    result holds its post-state from the start.  The generated ``==`` and
-    repr read ``post_state`` like any field; the generated hash reads it too
-    and raises ``TypeError``, because a :class:`StabilizerTableau` is unhashable.
+    arguments in ``_collapse_args`` and runs it on the first read, which
+    releases them; any other result holds its post-state from the start.
+    The generated ``==`` and repr read ``post_state`` like any field; the
+    generated hash reads it too and raises ``TypeError``, because a
+    :class:`StabilizerTableau` is unhashable.
     """
 
     outcome: int  # +1 or -1
@@ -176,7 +177,7 @@ class MeasurementResult:
 
     @functools.cached_property
     def post_state(self) -> StabilizerTableau:
-        return _collapse(*self._collapse_args)
+        return _collapse(*self.__dict__.pop("_collapse_args"))
 
 
 # _SIGN_BYTES[b]: bit k of byte b as the signed char -1 if set, else +1.
@@ -323,8 +324,9 @@ def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
 
     ``axioms`` is a list of (2N-bit vector, sign) pairs: exactly N of them,
     of one length, pairwise symplectically orthogonal and GF(2)-independent
-    (else ValueError).  The one elimination, on the transposed pairing matrix
-    (row q of the pairing matrix dotted with d is <d, g_q>) that
+    (else ValueError; a vector that is not a BitVector raises TypeError).
+    The one elimination, on the transposed pairing matrix (row q of the
+    pairing matrix dotted with d is <d, g_q>) that
     :func:`gf2._pairing_transpose` builds, checks independence.  At rank N
     every column is a pivot, so pivot p's fully reduced row is e_p: the
     destabilizers are the pivots' combinations, <d_p, g_q> = delta_pq.
@@ -332,6 +334,9 @@ def prepare(axioms: Sequence[Tuple[BitVector, int]]) -> StabilizerTableau:
     """
     if not axioms:
         raise ValueError("empty axiom list")
+    bad = next((v for v, _ in axioms if not isinstance(v, BitVector)), None)
+    if bad is not None:
+        raise TypeError(f"axiom vectors must be BitVectors, got {type(bad).__name__}")
     if any(s not in (1, -1) for _, s in axioms):
         raise ValueError("axiom signs must be +1 or -1")
     two_n = len(axioms[0][0])

@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, file round-trips, reproducibility."""
 import argparse
+import importlib
 import json
 import os
 import re
@@ -729,3 +730,35 @@ def test_readme_example_runs(tmp_path, capsys, monkeypatch):
             assert printed == want.group(1) + "\n", line
             checked += 1
     assert checked == 3
+
+
+def script_target():
+    """The installed ``axiombox`` script's ``module:function``, read from
+    pyproject.toml's ``[project.scripts]`` table by a regex (no tomllib
+    before Python 3.11)."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    return re.search(r'^axiombox\s*=\s*"([\w.]+):(\w+)"\s*$', table.group(1), re.M).groups()
+
+
+def test_installed_script_runs_the_entry_point(capsys, monkeypatch):
+    """The script's target is ``cli.entry_point``, which reads sys.argv and
+    exits with ``main``'s status: README's ``enumerate`` line, and 2 on an
+    unknown option."""
+    module, name = script_target()
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.entry_point
+    line = next(line for line in readme_example() if "axiombox enumerate --n 2" in line)
+    argv = shlex.split(line, comments=True)
+    want = re.search(r"#\s*->\s*(.*)$", line).group(1)
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert exited.value.code == 0
+    assert capsys.readouterr() == (want + "\n", "")
+    monkeypatch.setattr(sys, "argv", [*argv, "--bogus"])
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --bogus" in err

@@ -136,19 +136,6 @@ class TestBitMatrix:
         m = BitMatrix([])
         assert (m.num_rows, m.num_cols) == (0, 0)
 
-    def test_repr(self):
-        assert repr(BitMatrix(["01", "11"])) == "BitMatrix(['01', '11'])"
-        assert repr(BitMatrix([])) == "BitMatrix([])"
-
-    def test_equal_matrices_hash_equal(self):
-        m = BitMatrix(["01", "10"])
-        twin = BitMatrix([BitVector("01"), BitVector("10")])
-        assert m == twin and hash(m) == hash(twin)
-        # The same (empty) rows with different widths are different keys.
-        table = {m: "m", BitMatrix([], num_cols=2): "2", BitMatrix([], num_cols=3): "3"}
-        assert table[twin] == "m" and len(table) == 3
-        assert BitMatrix(["10", "01"]) not in table
-
     @pytest.mark.parametrize("value", [BitVector("01"), BitMatrix(["01"])])
     def test_unequal_to_a_foreign_type(self, value):
         assert value != "01" and not value == (0, 1)

@@ -115,6 +115,26 @@ def test_measurement_result_keeps_its_frozen_dataclass_surface():
     assert random != stab.MeasurementResult(random.outcome, random.kind, state)
 
 
+def test_a_read_random_result_releases_its_collapse_arguments():
+    """The first read of a random result's ``post_state`` drops the pre-
+    measurement tableau it held; ``==`` and ``dataclasses.replace`` work on
+    a result before its read (they read it) and after."""
+    state = StabilizerTableau.from_text("+ZI\n+IZ\n")
+    obs = pauli.parse_observable("+XI")
+    compared, replaced, read = [stab.measure_forced(state, obs, -1) for _ in range(3)]
+    assert all("_collapse_args" in vars(r) for r in (compared, replaced, read))
+    post = read.post_state
+    assert "_collapse_args" not in vars(read)
+    assert read.post_state is post and post.to_text() == "-XI\n+IZ\n"
+    assert compared == read
+    flipped = stab.MeasurementResult(1, MeasurementKind.RANDOM, post)
+    assert dataclasses.replace(replaced, outcome=1) == flipped
+    assert dataclasses.replace(read, outcome=1) == flipped
+    for result in (compared, replaced, read):
+        assert "_collapse_args" not in vars(result)
+        assert result.post_state == post and result == read
+
+
 class StubRng:
     def __init__(self, value):
         self.value = value

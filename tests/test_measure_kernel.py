@@ -1,7 +1,7 @@
 """The measurement kernel against a frozen copy of its per-row-call version.
 
 ``frozen_measure``, ``frozen_collapse`` and ``frozen_commute_pairwise`` are
-the bodies the tableau ran while each row test was one ``_symplectic`` call
+the bodies the tableau ran while each row test was one symplectic-form call
 and each collapsed row's sign one two-factor ``phase_bit`` call.  They are
 kept here only as the reference: seeded sequences of random and
 deterministic measurements, drawn, forced and with affine sign forms, must
@@ -191,7 +191,7 @@ def test_row_tests_equal_symplectic_products(n):
 
 
 def test_measurement_makes_no_per_row_calls(monkeypatch):
-    """At N=64 the row scans call no ``_symplectic``: one swap and one
+    """At N=64 the row scans make no per-row calls: one swap and one
     ``_scan`` per measurement, and one ``_pair_phase_bits`` per collapse."""
     n = 64
     rng = philox_rng(n, 73)
@@ -199,7 +199,7 @@ def test_measurement_makes_no_per_row_calls(monkeypatch):
     observables = []
     for _ in range(40):
         observables.append(next_observable(rng, state, observables))
-    calls = {"symplectic": 0, "scan": 0, "pair": 0, "swap": 0}
+    calls = {"scan": 0, "pair": 0, "swap": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -208,9 +208,6 @@ def test_measurement_makes_no_per_row_calls(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(gf2, "_symplectic", counting("symplectic", gf2._symplectic))
-    monkeypatch.setattr(pauli, "_symplectic", counting("symplectic", pauli._symplectic))
-    monkeypatch.setattr(stab, "_symplectic", counting("symplectic", gf2._symplectic), raising=False)
     monkeypatch.setattr(stab, "_scan", counting("scan", stab._scan))
     monkeypatch.setattr(pauli, "_pair_phase_bits", counting("pair", pauli._pair_phase_bits))
     monkeypatch.setattr(stab, "_swap_halves", counting("swap", stab._swap_halves))
@@ -222,7 +219,6 @@ def test_measurement_makes_no_per_row_calls(monkeypatch):
     random = kinds.count(MeasurementKind.RANDOM)
     assert 0 < random < len(kinds)
     assert calls == {
-        "symplectic": 0,
         "scan": len(kinds),
         "pair": random,
         "swap": len(kinds),

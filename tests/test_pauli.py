@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from axiombox import pauli
+from axiombox import oracle, pauli
 from axiombox.blackbox import BlackBoxConfig, BooleanFunction
 from axiombox.gf2 import BitVector
 from axiombox.pauli import PauliOperator, SignedObservable
@@ -74,6 +74,20 @@ class TestPhaseIsAnInteger:
         assert p.phase == int(phase) % 4
         assert type(p.phase) is int
         term_matrix(pauli.multiply(p, q))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, np.float64(1.0)])
+    def test_non_integer_sign_rejected(self, sign):
+        """A float sign passes the +-1 check, and ``_set`` then rejects the
+        phase it makes, as it does a float phase."""
+        base = pauli.parse_observable("XY").base
+        with pytest.raises(TypeError):
+            SignedObservable(base, sign)
+        with pytest.raises(TypeError):
+            pauli._observable(base._mask, 2, sign)
+        with pytest.raises(TypeError):
+            SignedObservable.identity(2, sign)
+        with pytest.raises(TypeError):
+            oracle.state_from_axioms([(BitVector("0011"), sign), (BitVector("1100"), 1)])
 
 
 class TestMultiply:

@@ -13,7 +13,12 @@ enumeration does not lean on :func:`stabilizer.prepare`.  Per state:
   both forced outcomes, against the oracle's normalized projection up to
   phase, and ``joint_distribution`` of every commuting ordered pair, every
   other pair with its first observable negated, against
-  ``oracle.distribution``.
+  ``oracle.distribution``;
+- N <= 2, under each of the 4^N black boxes: ``classify``,
+  ``classical_truth`` and ``quantum_truth`` of every proposition, zero
+  included, against a brute-force span, the post-box parities and the
+  oracle's <psi'|C(J)|psi'>, and ``AxiomSet`` of those parities against
+  ``apply_blackbox``.
 """
 import functools
 import itertools
@@ -22,11 +27,13 @@ import numpy as np
 import pytest
 
 from axiombox import oracle, pauli
+from axiombox.blackbox import BlackBoxConfig
 from axiombox.gf2 import BitVector
-from axiombox.logic import AxiomSet
+from axiombox.logic import AxiomSet, Proposition, classical_truth, classify, quantum_truth
 from axiombox.stabilizer import (
     MeasurementKind,
     StabilizerTableau,
+    apply_blackbox,
     joint_distribution,
     measure_forced,
     prepare,
@@ -166,3 +173,55 @@ def test_every_construction_gives_the_same_tableau(n):
         axioms = AxiomSet([v for v, _ in pairs], [int(s < 0) for _, s in pairs])
         assert loaded == tableau and axioms == tableau
         assert type(loaded) is StabilizerTableau and type(axioms) is AxiomSet
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_black_boxes_match_the_span_the_parities_and_the_oracle(n):
+    """The box's unitary is the Pauli of f = (f0|f1), bit j of f0 being
+    f_j(0): conjugation by it flips C(v) by the pairing of v with f, which
+    is each axiom's parity flip, and psi' = P_f psi."""
+    propositions = [Proposition(BitVector.from_mask(j, 2 * n)) for j in range(4 ** n)]
+    checked = 0
+    for state in states(n):
+        pairs = axiom_pairs(state, n)
+        masks = [mask for mask, _ in state]
+        tableau = prepare(pairs)
+        psi = oracle.state_from_axioms(pairs)
+        for cfg in BlackBoxConfig.all_configs(n):
+            f = 0
+            for j, fn in enumerate(cfg.functions):
+                f |= fn.f0 << j | fn.f1 << (n + j)
+            evolved = apply_blackbox(tableau, cfg)
+            parities = [int(sign < 0) ^ ref.symplectic(mask, f, n) for mask, sign in state]
+            assert AxiomSet([v for v, _ in pairs], parities) == evolved
+            if f:
+                _, perm, factors = observables(n)[f - 1]
+                evolved_psi = apply(perm, factors, psi)
+            else:
+                evolved_psi = psi
+            for j, prop in enumerate(propositions):
+                coefficients = ref.span_coefficients(j, masks)
+                report = classify(prop, evolved)
+                if j:
+                    _, perm, factors = observables(n)[j - 1]
+                    value = np.vdot(evolved_psi, apply(perm, factors, evolved_psi)).real
+                else:
+                    value = 1.0
+                if coefficients is None:
+                    assert not report.dependent
+                    assert abs(value) < 1e-12
+                    assert classical_truth(prop, evolved) is None
+                    assert quantum_truth(prop, evolved) is None
+                else:
+                    assert report.dependent
+                    assert report.coefficients.mask == coefficients
+                    classical = 0
+                    for p, parity in enumerate(parities):
+                        classical ^= parity & coefficients >> p
+                    quantum = int(value < 0)
+                    assert abs(abs(value) - 1.0) < 1e-12
+                    assert report.classical_truth == classical_truth(prop, evolved) == classical
+                    assert quantum_truth(prop, evolved) == quantum
+                    assert quantum == classical ^ report.phase_bit
+                checked += 1
+    assert checked == COUNTS[n][1] * 4 ** n * 4 ** n

@@ -343,3 +343,15 @@ class TestInconsistentLengths:
     def test_count_still_checked(self):
         with pytest.raises(ValueError, match="^need exactly 2 axioms of length 4, got 1$"):
             stab.prepare([(pauli.parse_observable("ZZ").vector, 1)])
+
+
+class TestVectorsMustBeBitVectors:
+    """A str vector is named by its type, before its ``len`` is counted."""
+
+    def test_prepare(self):
+        with pytest.raises(TypeError, match="^axiom vectors must be BitVectors, got str$"):
+            stab.prepare([("0110", 1), ("1001", 1)])
+
+    def test_axiom_set(self):
+        with pytest.raises(TypeError, match="^axiom vectors must be BitVectors, got str$"):
+            AxiomSet(["ZZ", "XX"], [0, 0])
