@@ -26,6 +26,12 @@ from .pauli import SignedObservable
 from .stabilizer import StabilizerTableau
 
 _RUN_CAP = 10 ** 6  # most runs per record or trials per length, so arrays stay small
+# Bytes of the widest array of one block of sampled flips: the m Philox words
+# of each run, or its row of 64 * ceil(m/64) flips where that is wider.  glibc
+# maps a fresh allocation of 128 KiB or more (its default mmap threshold) and
+# unmaps it when it is freed, so every call would fault those pages in again;
+# blocks under it reuse the same heap memory.
+_BLOCK_BYTES = 1 << 16
 
 
 def philox_rng(seed: int, substream: int = 0) -> np.random.Generator:
@@ -138,6 +144,12 @@ def sample(
     Each run is the k-th point, in sorted order, of the affine outcome set of
     :func:`stabilizer._outcome_set` (at most 2^53 points), found without listing
     the set; then every outcome bit is flipped with probability ``noise.flip_prob``.
+    Both are read as integers off the raw 64-bit words of the Philox stream: k
+    is the top r bits of one word, and a flip is a word below
+    ``ceil(flip_prob * 2^53) << 11``.  These are exactly the draws of
+    ``rng.random()``, so the stream, and every seeded record, is that of the
+    float sampler.  The flips are drawn a block of runs at a time, each block's
+    words taking at most ``_BLOCK_BYTES``, so no flip array grows with ``n_runs``.
     A run is one row of ceil(m/64) uint64 words laid out by :func:`_words` and
     complemented, so that a set bit means +1 and the rows sort as their sign
     tuples do; they are built from per-byte tables of column XORs:
@@ -154,8 +166,12 @@ def sample(
     if r > 53:
         raise ValueError(f"{r} independent outcomes: sample draws at most 53")
 
-    rng = philox_rng(seed, substream)
-    picks = (rng.random(n_runs) * 2.0 ** r).astype(np.int64)  # as rng.choice draws
+    # rng.random() is (word >> 11) * 2^-53, so floor(random() * 2^r), as
+    # rng.choice draws k, is word >> (64 - r).  At r = 0 the words are still
+    # drawn, since the flips follow them in the stream.  Every operand that
+    # meets the words is a np.uint64, so numpy 1.x and NEP 50 casting agree.
+    bitgen = philox_rng(seed, substream).bit_generator
+    picks = bitgen.random_raw(n_runs)
     m = len(observables)
     width = -(-m // 64)  # uint64 words per run
     # -1 sorts first, so the k-th point takes column i exactly when bit r-1-i
@@ -165,7 +181,10 @@ def sample(
         (reference >> ((c & -c).bit_length() - 1) & 1) << (r - 1 - i)
         for i, c in enumerate(columns)
     )
-    taken = picks ^ (pivot_bits ^ ((1 << r) - 1))
+    if r:
+        picks >>= np.uint64(64 - r)
+        taken = picks.view(np.int64)  # below 2^53, and int64 indexes faster
+        taken ^= pivot_bits ^ ((1 << r) - 1)
     words = np.tile(~_words(reference, width), (n_runs, 1))
     for low in range(0, r, 8):
         # table[b]: XOR of the columns whose bits of `taken` byte low/8 are set in b.
@@ -174,11 +193,18 @@ def sample(
             table[1 << b : 2 << b] = table[: 1 << b] ^ _words(columns[r - 1 - low - b], width)
         words ^= table[taken >> low & 255]
     if noise.flip_prob > 0.0:
-        flips = np.zeros((n_runs, 64 * width), bool)
-        flips[:, :m] = rng.random((n_runs, m)) < noise.flip_prob
-        # Packed MSB first and read as big-endian words, flip k lands at bit
-        # 63 - k % 64 of word k // 64 on any host; so does unpacking below.
-        words ^= np.packbits(flips).view(">u8").reshape(n_runs, width)
+        # random() < p exactly when word < ceil(p * 2^53) << 11, at most 2^63
+        # for p < 0.5.  Blocks of runs keep the stream's row-major order.
+        threshold = np.uint64(math.ceil(noise.flip_prob * 2.0 ** 53) << 11)
+        step = max(1, _BLOCK_BYTES // (8 * max(m, 8 * width)))  # runs per block
+        flips = np.zeros((min(step, n_runs), 64 * width), bool)
+        for start in range(0, n_runs, step):
+            block = words[start : start + step]
+            rows = flips[: len(block)]
+            np.less(bitgen.random_raw((len(block), m)), threshold, out=rows[:, :m])
+            # Packed MSB first and read as big-endian words, flip k lands at
+            # bit 63 - k % 64 of word k // 64 on any host; so does unpacking below.
+            block ^= np.packbits(rows).view(">u8").reshape(len(block), width)
 
     # Tally each distinct row once, in sign-tuple order.
     if width == 1:

@@ -256,6 +256,9 @@ class OutcomeDistribution:
         return dict(self._table)
 
     def probability(self, signs: tuple) -> float:
+        """The probability of ``signs``; 0.0 outside the support.  A point of
+        an affine set with r >= 1075 free outcomes raises OverflowError, since
+        2^-r is below the least positive float (for smaller r it is exact)."""
         if self._pivots is None:
             return self._table.get(tuple(signs), 0.0)
         signs = tuple(signs)
@@ -269,7 +272,10 @@ class OutcomeDistribution:
                 return 0.0
         if not self._in_span(bits ^ self._reference):
             return 0.0
-        return 0.5 ** len(self._pivots)
+        r = len(self._pivots)
+        if r > 1074:
+            raise OverflowError(f"probability 2^-{r} is below the least positive float")
+        return 0.5 ** r
 
     def _in_span(self, bits: int) -> bool:
         """Whether the word ``bits`` is a combination of the columns."""

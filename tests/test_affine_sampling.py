@@ -166,7 +166,7 @@ def test_the_packed_cases_reach_forty_random_outcomes():
 SORTED_KEY_CASES = PACKED_CASES + [(m, cap) for m in (128, 130) for cap in (0, 9, 40)]
 
 
-@pytest.mark.parametrize("n_runs", [1, 7, 3000])
+@pytest.mark.parametrize("n_runs", [1, 7, 3000, xp._BLOCK_BYTES // 64, xp._BLOCK_BYTES // 64 + 1])
 @pytest.mark.parametrize("flip_prob", [0.0, 0.05])
 @pytest.mark.parametrize("m, cap", SORTED_KEY_CASES)
 def test_sample_matches_the_frozen_sorted_key_sampler(m, cap, flip_prob, n_runs):

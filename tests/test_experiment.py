@@ -1,5 +1,6 @@
 """Sampling, record classification, decay study, and the demo grids."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,44 @@ class TestPhiloxKeys:
         a = xp.philox_rng(np.int64(1), np.uint32(2)).integers(0, 1 << 62, size=4)
         b = xp.philox_rng(1, 2).integers(0, 1 << 62, size=4)
         assert list(a) == list(b)
+
+
+class TestIntegerDraws:
+    """``sample`` reads integers off the raw Philox words; each equals the
+    draw of ``rng.random()`` on the same word."""
+
+    WORDS = xp.philox_rng(5, 6).bit_generator.random_raw(100_000)
+    FLOATS = xp.philox_rng(5, 6).random(100_000)
+
+    @pytest.mark.parametrize("p", [5e-324, 2.0 ** -60, 0.05, 0.1, 0.5 - 2.0 ** -54])
+    def test_flip(self, p):
+        threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+        assert np.array_equal(self.WORDS < threshold, self.FLOATS < p)
+        # The words next to the threshold, through random()'s own formula.
+        for word in (int(threshold) - 1, int(threshold)):
+            assert (np.uint64(word) < threshold) == ((word >> 11) * 2.0 ** -53 < p)
+
+    @pytest.mark.parametrize("r", [0, 1, 12, 53])
+    def test_pick(self, r):
+        picks = self.WORDS >> np.uint64(64 - r)
+        assert np.array_equal(picks, (self.FLOATS * 2.0 ** r).astype(np.int64))
+
+
+def test_sample_peak_memory_per_run():
+    """Twelve random outcomes at 200 000 runs: the flips are drawn in blocks,
+    so the peak stays under 64 bytes per run (numpy reports its buffers)."""
+    n = 12
+    letters = ["I" * j + "{}" + "I" * (n - 1 - j) for j in range(n)]
+    state = stab.prepare([(obs(s.format("Z")).vector, 1) for s in letters])
+    observables = [obs(s.format("X")) for s in letters]
+    assert stab.joint_distribution(state, observables).probability((1,) * n) == 2.0 ** -n
+    tracemalloc.start()
+    try:
+        xp.sample(state, observables, 200_000, seed=3, noise=NoiseModel(0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 200_000
 
 
 class TestDecayStudy:

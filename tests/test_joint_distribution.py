@@ -305,3 +305,25 @@ class TestAffineEquality:
         shifted = reference ^ outside_word(columns, 64)
         assert d != OutcomeDistribution._affine(shifted, columns, 64)
         assert "_table" not in vars(d)
+
+
+class TestProbabilityBelowTheLeastFloat:
+    def test_a_supported_outcome_at_r_1100_raises(self):
+        """Axioms Z_j and observables X_j on 1100 qubits: every outcome is in
+        the support with probability 2^-1100, which no float holds."""
+        n = 1100
+        letters = ["I" * j + "{}" + "I" * (n - 1 - j) for j in range(n)]
+        state = stab.prepare([(pauli.parse_observable(s.format("Z")).vector, 1) for s in letters])
+        observables = [pauli.parse_observable(s.format("X")) for s in letters]
+        dist = stab.joint_distribution(state, observables)
+        with pytest.raises(OverflowError, match="^probability 2\\^-1100 is below"):
+            dist.probability((1,) * n)
+        assert dist.probability((1,) * (n - 1)) == 0.0  # not an outcome
+
+    def test_r_1074_is_exact_and_1075_raises(self):
+        least = OutcomeDistribution._affine(0, [1 << k for k in range(1074)], 1074)
+        assert least.probability((-1,) * 1074) == math.ldexp(1.0, -1074) > 0.0
+        beyond = OutcomeDistribution._affine(0, [1 << k for k in range(1075)], 1076)
+        with pytest.raises(OverflowError, match="2\\^-1075"):
+            beyond.probability((1,) * 1076)
+        assert beyond.probability((1,) * 1075 + (-1,)) == 0.0  # outside the support
