@@ -174,17 +174,14 @@ def sample(
     picks = bitgen.random_raw(n_runs)
     m = len(observables)
     width = -(-m // 64)  # uint64 words per run
-    # -1 sorts first, so the k-th point takes column i exactly when bit r-1-i
-    # of k equals the reference bit at the column's pivot; no other column
-    # touches that pivot.  Bit r-1-i of `taken` says whether column i is taken.
-    pivot_bits = sum(
-        (reference >> ((c & -c).bit_length() - 1) & 1) << (r - 1 - i)
-        for i, c in enumerate(columns)
-    )
+    # The reference is +1 at each column's pivot, and -1 sorts first, so the
+    # k-th point takes column i exactly when bit r-1-i of k is 0; no other
+    # column touches that pivot.  Bit r-1-i of `taken` says whether column i
+    # is taken.
     if r:
         picks >>= np.uint64(64 - r)
         taken = picks.view(np.int64)  # below 2^53, and int64 indexes faster
-        taken ^= pivot_bits ^ ((1 << r) - 1)
+        taken ^= (1 << r) - 1
     words = np.tile(~_words(reference, width), (n_runs, 1))
     for low in range(0, r, 8):
         # table[b]: XOR of the columns whose bits of `taken` byte low/8 are set in b.

@@ -515,9 +515,10 @@ def _outcome_set(
     the fresh variable 2 << i makes every sign and outcome an affine form, bit
     0 its constant and bit i + 1 its coefficient of free outcome i; the
     reference and column i collect bits 0 and i + 1.  A column's lowest set
-    bit is at its own random measurement, its only bit at a random one.  Each
-    observable runs :func:`_measure_deferred`; a random one's collapse runs
-    only when another observable follows to read its post-state."""
+    bit is at its own random measurement, its only bit at a random one, and
+    the reference is 0 there, since that outcome's form is its bare variable.
+    Each observable runs :func:`_measure_deferred`; a random one's collapse
+    runs only when another observable follows to read its post-state."""
     n = t._n
     for obs in obs_list:
         if obs._n != n:

@@ -1,6 +1,7 @@
 """The exact core is integer-only: none of its modules imports numpy, and
 neither the package nor the CLI imports ``experiment`` or ``oracle`` (which
-do) at import time."""
+do) at import time.  The tests' two references import nothing from the
+package."""
 import ast
 from pathlib import Path
 
@@ -25,6 +26,14 @@ def test_core_module_imports_no_numpy(name):
     modules = list(imported_modules(ast.parse(source)))
     assert modules, "the scan must see the module's imports"
     assert not [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("name", ["gf2_reference.py", "dense_reference.py"])
+def test_references_import_nothing_from_the_package(name):
+    """A test that compares the package with these references does not check
+    the package against its own code."""
+    source = (Path(__file__).parent / name).read_text()
+    assert not [m for m in imported_modules(ast.parse(source)) if m.split(".")[0] == "axiombox"]
 
 
 def top_level_imports(body):

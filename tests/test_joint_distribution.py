@@ -102,7 +102,10 @@ ONE_PASS = [
 @pytest.mark.parametrize("n,m,seed", ONE_PASS + [(64, 70, 0), (64, 70, 1)])
 def test_one_pass_equals_frozen_forced_passes(n, m, seed):
     state, observables = random_case(n, m, seed)
-    assert stab._outcome_set(state, observables) == forced_outcome_set(state, observables)
+    reference, columns = stab._outcome_set(state, observables)
+    assert (reference, columns) == forced_outcome_set(state, observables)
+    # +1 at each column's pivot, which ``sample``'s pick order relies on.
+    assert all(reference & (c & -c) == 0 for c in columns)
 
 
 def test_one_pass_equals_frozen_forced_passes_beyond_53_free_outcomes():

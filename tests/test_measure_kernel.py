@@ -1,12 +1,14 @@
 """The measurement kernel against a frozen copy of its per-row-call version.
 
-``frozen_measure``, ``frozen_collapse`` and ``frozen_commute_pairwise`` are
-the bodies the tableau ran while each row test was one symplectic-form call
-and each collapsed row's sign one two-factor ``phase_bit`` call.  They are
-kept here only as the reference: seeded sequences of random and
-deterministic measurements, drawn, forced and with affine sign forms, must
-give the same outcome, kind, generators, signs, destabilizers and draws.
-The sizes straddle the 64-bit word boundaries of both mask halves.
+``frozen_measure`` and ``frozen_collapse`` are the bodies the tableau ran
+while each row test was one symplectic-form call (here the reference form
+:func:`gf2_reference.symplectic`) and each collapsed row's sign one
+two-factor ``phase_bit`` call.  They are kept here only as the reference:
+seeded sequences of random and deterministic measurements, drawn, forced and
+with affine sign forms, must give the same outcome, kind, generators, signs,
+destabilizers and draws.  ``gf2._commute_pairwise`` is checked against the
+reference form on every pair.  The sizes straddle the 64-bit word boundaries
+of both mask halves.
 """
 import os
 import subprocess
@@ -22,12 +24,10 @@ from axiombox.experiment import philox_rng
 from axiombox.gf2 import BitVector
 from axiombox.stabilizer import MeasurementKind, StabilizerTableau
 
+import gf2_reference as ref
+
 SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 17, 63, 64, 65, 128, 256]
 SRC = str(Path(axiombox.__file__).parents[1])
-
-
-def frozen_symplectic(a, b, n):
-    return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
 
 
 def frozen_phase_bit(target, factors, n):
@@ -40,12 +40,6 @@ def frozen_phase_bit(target, factors, n):
     return ((target & target >> n).bit_count() - e) % 4 // 2
 
 
-def frozen_commute_pairwise(masks, n):
-    return not any(
-        frozen_symplectic(a, b, n) for i, a in enumerate(masks) for b in masks[i + 1 :]
-    )
-
-
 def frozen_collapse(t, ov, sign, anticommuting):
     n = t._n
     q = anticommuting[0]
@@ -55,7 +49,7 @@ def frozen_collapse(t, ov, sign, anticommuting):
         signs[p] ^= sq ^ frozen_phase_bit(gens[p] ^ gq, [gens[p], gq], n)
         gens[p] ^= gq
     for p, d in enumerate(destabs):
-        if p != q and frozen_symplectic(ov, d, n):
+        if p != q and ref.symplectic(ov, d, n):
             destabs[p] = d ^ gq
     destabs[q] = gq
     gens[q], signs[q] = ov, sign
@@ -65,9 +59,9 @@ def frozen_collapse(t, ov, sign, anticommuting):
 def frozen_measure(t, obs, random_bit):
     n = t._n
     ov = obs.base._mask
-    anticommuting = [p for p, g in enumerate(t._gens) if frozen_symplectic(ov, g, n)]
+    anticommuting = [p for p, g in enumerate(t._gens) if ref.symplectic(ov, g, n)]
     if not anticommuting:
-        factors = [p for p, d in enumerate(t._destabs) if frozen_symplectic(ov, d, n)]
+        factors = [p for p, d in enumerate(t._destabs) if ref.symplectic(ov, d, n)]
         bit = int(obs.sign < 0) ^ frozen_phase_bit(ov, [t._gens[p] for p in factors], n)
         for p in factors:
             bit ^= t._signs[p]
@@ -169,7 +163,10 @@ def test_commute_pairwise_equals_frozen(n):
         masks[k] ^= 1 << int(rng.integers(0, 2 * n))
         cases.append(masks)
     results = [gf2._commute_pairwise(masks, n) for masks in cases]
-    assert results == [frozen_commute_pairwise(masks, n) for masks in cases]
+    assert results == [
+        not any(ref.symplectic(a, b, n) for i, a in enumerate(masks) for b in masks[i + 1 :])
+        for masks in cases
+    ]
     assert results[:3] == [True, True, True] and False in results
 
 
@@ -183,7 +180,7 @@ def test_row_tests_equal_symplectic_products(n):
         swapped = gf2._swap_halves(a, n)
         assert swapped >> 2 * n == 0 and gf2._swap_halves(swapped, n) == a
         assert [(swapped & b).bit_count() & 1 for b in masks] == [
-            frozen_symplectic(a, b, n) for b in masks
+            ref.symplectic(a, b, n) for b in masks
         ]
         assert pauli._pair_phase_bits(masks, a, n) == [
             frozen_phase_bit(b ^ a, [b, a], n) for b in masks

@@ -7,11 +7,10 @@ Kronecker/matmul oracle: every observable a dense 2^N x 2^N Kronecker product
 matmuls and each walk node a dense mat-vec.  ``projector_state_from_axioms`` and ``unpruned_distribution`` are the
 signed-permutation oracle before it scanned single basis vectors and cut zero
 branches: the whole projector built column by column, every walk leaf visited.
-``pruned_distribution`` is the walk before it carried eigenvectors: both
-branches built and halved at every node, and a zero branch cut on entry.
 Every product in any version is an exact +-1 or +-i times a dyadic value (or
 an exactly rounded sum of two terms), so states and outcomes must be
-bit-identical, not merely close.
+bit-identical, not merely close.  The shortcut test's name is that of the
+frozen walk that cut zero branches, which ``unpruned_distribution`` replaced.
 """
 import ast
 import itertools
@@ -107,27 +106,6 @@ def unpruned_distribution(state, obs_list):
     return outcomes
 
 
-def pruned_distribution(state, obs_list):
-    actions = [loop_signed_permutation(o.base, o.sign) for o in obs_list]
-    outcomes = {}
-
-    def walk(vec, index, signs):
-        if not vec.any():
-            return
-        if index == len(actions):
-            prob = float(np.real(np.vdot(vec, vec)))
-            if prob > 1e-15:
-                outcomes[signs] = prob
-            return
-        perm, factors = actions[index]
-        applied = (factors * vec)[perm]
-        walk((vec + applied) * 0.5, index + 1, signs + (1,))
-        walk((vec - applied) * 0.5, index + 1, signs + (-1,))
-
-    walk(np.asarray(state, dtype=complex), 0, ())
-    return outcomes
-
-
 def signed_products(axioms, count, rng):
     """Random products of the axioms, each with a random sign: all definite."""
     n = len(axioms)
@@ -190,14 +168,6 @@ def test_equals_frozen_projector_oracle(n, m, seed):
     assert list(got.items()) == list(unpruned_distribution(frozen, observables).items())
 
 
-@pytest.mark.parametrize("n,m,seed", CASES)
-def test_equals_frozen_pruned_walk(n, m, seed):
-    axioms, observables = random_case(n, m, seed)
-    state = oracle.state_from_axioms(axioms)
-    got = oracle.distribution(state, observables).outcomes
-    assert list(got.items()) == list(pruned_distribution(state, observables).items())
-
-
 def shortcut_case(kind, n, rng):
     """A state and observables that take each step of the walk: an observable
     then its negation (a -1 eigenvector after a +1 branch, and the reverse),
@@ -235,7 +205,7 @@ def test_eigenvector_shortcuts_equal_frozen_pruned_walk(n, kind):
     for _ in range(3):
         state, observables = shortcut_case(kind, n, rng)
         got = oracle.distribution(state, observables).outcomes
-        assert list(got.items()) == list(pruned_distribution(state, observables).items())
+        assert list(got.items()) == list(unpruned_distribution(state, observables).items())
         if kind == "negation":
             assert all(s[k] == -s[k + 1] for s in got for k in range(0, len(s), 2))
         elif kind == "definite":
@@ -253,7 +223,7 @@ def test_leaves_of_probability_at_most_1e_15_are_dropped(n):
     state[0] += 2.0 ** -30
     state /= np.linalg.norm(state)
     got = oracle.distribution(state, observables).outcomes
-    assert list(got.items()) == list(pruned_distribution(state, observables).items())
+    assert list(got.items()) == list(unpruned_distribution(state, observables).items())
     assert len(got) == 1
 
 

@@ -12,6 +12,8 @@ import pytest
 from axiombox import stabilizer as stab
 from axiombox.experiment import philox_rng
 
+import gf2_reference as ref
+
 
 def frozen_nullspace(rows, num_cols):
     """Basis of ``{v : parity(row & v) == 0 for every row}``: left-to-right
@@ -57,16 +59,12 @@ def frozen_sign(rng):
     return 1 if rng.integers(0, 2) == 0 else -1
 
 
-def symplectic(a, b, n):
-    return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
-
-
 def frozen_random_axioms(n, rng):
     vectors = []
     complement = frozen_complement(vectors, n)
     while len(vectors) < n:
         candidate = frozen_orthogonal(complement, rng)
-        if any(symplectic(candidate, c, n) for c in complement):
+        if any(ref.symplectic(candidate, c, n) for c in complement):
             vectors.append(candidate)
             complement = frozen_complement(vectors, n)
     return [(v, frozen_sign(rng)) for v in vectors]
