@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import BitVector
@@ -67,10 +66,16 @@ class _Record:
     def __reduce__(self):
         return type(self), self._values()
 
+    # dataclasses is imported only here, so that importing the records does
+    # not load it (and inspect with it).
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 

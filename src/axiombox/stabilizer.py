@@ -4,6 +4,11 @@ Pauli measurement with collapse, and exact joint outcome distributions.
 A tableau holds N commuting generators (the encoded axioms) as 2N-bit (x|z)
 int masks with GF(2) sign bits (1 for -1), plus N destabilizer masks, one
 anticommutation partner per generator (the CHP layout of quant-ph/0406196).
+Next to each generator it keeps the generator's Y count, the phase data that
+the definite product of :func:`_scan` adds up; the count is fixed by the
+mask, so it is counted when the tableau is built, passed on unchanged by
+:func:`apply_blackbox`, and recounted by :func:`_collapse` only for the rows
+whose masks it changes.
 The pairing turns "which generators multiply to this observable" into N
 symplectic products, so a deterministic measurement costs O(N^2) bit
 operations and is phase-exact, and a collapse is XORs of masks and sign bits.
@@ -63,9 +68,17 @@ class MeasurementKind(Enum):
 
 
 class StabilizerTableau:
-    """N-qubit stabilizer state: generator masks, sign bits, destabilizer masks."""
+    """N-qubit stabilizer state: generator masks, sign bits, destabilizer
+    masks, and ``_ys``, the Y count ``(g & g >> n).bit_count()`` of each
+    generator mask g.
 
-    __slots__ = ("_n", "_gens", "_signs", "_destabs")
+    ``_ys`` is derived from the masks, so ``==``, ``to_text``,
+    ``generators`` and ``destabilizers`` never read it.  ``__init__`` counts
+    it; :func:`apply_blackbox` passes it on, since the box changes no mask,
+    and :func:`_collapse` recounts only the rows it changes, through
+    :meth:`_from_rows`.  :func:`_scan` reads it in the definite product."""
+
+    __slots__ = ("_n", "_gens", "_signs", "_destabs", "_ys")
 
     def __init__(
         self,
@@ -78,6 +91,22 @@ class StabilizerTableau:
         self._gens = tuple(gens)
         self._signs = tuple(signs)
         self._destabs = tuple(destabs)
+        self._ys = tuple([(g & g >> n).bit_count() for g in self._gens])
+
+    @classmethod
+    def _from_rows(
+        cls,
+        n: int,
+        gens: Sequence[int],
+        signs: Sequence[int],
+        destabs: Sequence[int],
+        ys: Sequence[int],
+    ) -> "StabilizerTableau":
+        """The tableau of these fields, ``ys`` already the Y counts of ``gens``."""
+        t = cls.__new__(cls)
+        t._n, t._gens, t._signs = n, tuple(gens), tuple(signs)
+        t._destabs, t._ys = tuple(destabs), tuple(ys)
+        return t
 
     @property
     def n_qubits(self) -> int:
@@ -102,6 +131,8 @@ class StabilizerTableau:
         n, gens = self._n, self._gens
         if not len(gens) == len(self._signs) == len(self._destabs) == n:
             raise AssertionError("need n generators, signs and destabilizers")
+        if self._ys != tuple([(g & g >> n).bit_count() for g in gens]):
+            raise AssertionError("stale Y counts")
         if not _commute_pairwise(gens, n):
             raise AssertionError("generators must commute pairwise")
         if len(gf2._echelon(list(gens))) != n:
@@ -125,9 +156,7 @@ class StabilizerTableau:
         lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
         observables = [pauli.parse_observable(line) for line in lines if line]
         t = prepare([(o.vector, o.sign) for o in observables])
-        tableau = cls.__new__(cls)
-        StabilizerTableau.__init__(tableau, t._n, t._gens, t._signs, t._destabs)
-        return tableau
+        return cls._from_rows(t._n, t._gens, t._signs, t._destabs, t._ys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StabilizerTableau):
@@ -167,12 +196,14 @@ class MeasurementResult:
     ) -> "MeasurementResult":
         """The result of :func:`_measure_deferred`'s ``(bit, kind, collapse)``
         on ``t``; a random one collapses when ``post_state`` is first read."""
-        result = cls.__new__(cls)
-        outcome = -1 if bit else 1
+        result = object.__new__(cls)
+        fields = result.__dict__
+        fields["outcome"] = -1 if bit else 1
+        fields["kind"] = kind
         if collapse:
-            result.__dict__.update(outcome=outcome, kind=kind, _collapse_args=collapse)
+            fields["_collapse_args"] = collapse
         else:
-            result.__dict__.update(outcome=outcome, kind=kind, post_state=t)
+            fields["post_state"] = t
         return result
 
     @functools.cached_property
@@ -368,7 +399,7 @@ def apply_blackbox(t: StabilizerTableau, cfg: BlackBoxConfig) -> StabilizerTable
     if cfg.n != t._n:
         raise ValueError(f"size mismatch: {t._n} qubits vs {cfg.n} functions")
     signs = [s ^ _parity(g, cfg) for g, s in zip(t._gens, t._signs)]
-    return StabilizerTableau(t._n, t._gens, signs, t._destabs)
+    return StabilizerTableau._from_rows(t._n, t._gens, signs, t._destabs, t._ys)
 
 
 def _collapse(
@@ -378,25 +409,28 @@ def _collapse(
     generator q, the first that anticommutes with C(ov), becomes C(ov) with
     sign bit ``sign``.  ``swapped`` is ``_swap_halves(ov, n)``; every later
     anticommuting generator p takes in g_q, its sign bit from one
-    :func:`pauli._pair_phase_bits` for all of them."""
+    :func:`pauli._pair_phase_bits` for all of them.  Only those rows and row
+    q get new Y counts; the others keep theirs."""
     n = t._n
-    gens, signs = list(t._gens), list(t._signs)
+    gens, signs, ys = list(t._gens), list(t._signs), list(t._ys)
     gq, sq = gens[q], signs[q]
     rest = [p for p in range(q + 1, n) if (swapped & gens[p]).bit_count() & 1]
     for p, c in zip(rest, pauli._pair_phase_bits([gens[p] for p in rest], gq, n)):
         signs[p] ^= sq ^ c
-        gens[p] ^= gq
+        g = gens[p] = gens[p] ^ gq
+        ys[p] = (g & g >> n).bit_count()
     # Destabilizer q is overwritten, so it needs no exception here.
     destabs = [d ^ gq if (swapped & d).bit_count() & 1 else d for d in t._destabs]
     destabs[q] = gq
-    gens[q], signs[q] = ov, sign
-    return StabilizerTableau(n, gens, signs, destabs)
+    gens[q], signs[q], ys[q] = ov, sign, (ov & ov >> n).bit_count()
+    return StabilizerTableau._from_rows(n, gens, signs, destabs, ys)
 
 
 def measure(
     t: StabilizerTableau, obs: SignedObservable, rng=None
 ) -> MeasurementResult:
-    """Measure one Pauli observable.
+    """Measure one Pauli observable, a :class:`pauli.SignedObservable` (any
+    other type raises TypeError).
 
     If obs commutes with every generator the outcome is definite and the
     state is unchanged.  Otherwise the outcome is +-1 with probability 1/2
@@ -450,13 +484,17 @@ def _measure_deferred(
     the outcome random.  ``collapse`` is ``()`` for a definite outcome, whose
     post-state is ``t``, and otherwise the arguments of the :func:`_collapse`
     that gives the post-state.  Only XORs touch the sign bits, so they may be
-    affine forms (see :func:`_outcome_set`)."""
+    affine forms (see :func:`_outcome_set`).  An ``obs`` that is not a
+    :class:`pauli.SignedObservable` raises TypeError."""
+    if not isinstance(obs, SignedObservable):
+        raise TypeError(f"observable must be a SignedObservable, got {type(obs).__name__}")
     n, ov = t._n, obs._mask
     if obs._n != n:
         raise ValueError(f"size mismatch: {obs._n} vs {n} qubits")
     swapped = _swap_halves(ov, n)  # <ov, g> is the parity of swapped & g
     q, definite = _scan(t, ov, swapped)
-    negative = int(obs.sign < 0)
+    # A sign -1 adds 2 to the phase of C(ov), whose phase is its Y count.
+    negative = (obs._phase - (ov & ov >> n).bit_count()) >> 1 & 1
     if q is None:
         _, sign, phase = definite
         return negative ^ sign ^ phase, MeasurementKind.DETERMINISTIC, ()
@@ -490,12 +528,12 @@ def _scan(
     for q, g in enumerate(gens[:_PREFIX]):
         if (swapped & g).bit_count() & 1:
             return q, None
-    n, signs = t._n, t._signs
+    n, signs, ys = t._n, t._signs, t._ys
     factors = [p for p, d in enumerate(t._destabs) if (swapped & d).bit_count() & 1]
     v = e = sign = 0  # the running product i^e * sx^x * sz^z with (x|z) = v
     for p in factors:
         f = gens[p]
-        e += (f & f >> n).bit_count() + 2 * (v >> n & f).bit_count()
+        e += ys[p] + 2 * (v >> n & f).bit_count()
         v ^= f
         sign ^= signs[p]
     if v == ov:
@@ -521,6 +559,8 @@ def _outcome_set(
     runs only when another observable follows to read its post-state."""
     n = t._n
     for obs in obs_list:
+        if not isinstance(obs, SignedObservable):
+            raise TypeError(f"observable must be a SignedObservable, got {type(obs).__name__}")
         if obs._n != n:
             raise ValueError(f"size mismatch: {obs._n} vs {n} qubits")
     if not _commute_pairwise([o._mask for o in obs_list], n):
@@ -541,10 +581,11 @@ def _outcome_set(
 def joint_distribution(
     t: StabilizerTableau, obs_list: Sequence[SignedObservable]
 ) -> OutcomeDistribution:
-    """Exact outcome distribution of pairwise-commuting observables: each of
-    the 2^r points of :func:`_outcome_set` has probability exactly 2^-r.  It
-    is kept as that affine set: ``probability`` costs O(r*m) bit operations,
-    and ``outcomes`` lists the 2^r points when read."""
+    """Exact outcome distribution of pairwise-commuting observables, each a
+    :class:`pauli.SignedObservable` (else TypeError): each of the 2^r points
+    of :func:`_outcome_set` has probability exactly 2^-r.  It is kept as that
+    affine set: ``probability`` costs O(r*m) bit operations, and ``outcomes``
+    lists the 2^r points when read."""
     reference, columns = _outcome_set(t, obs_list)
     return OutcomeDistribution._affine(reference, columns, len(obs_list))
 

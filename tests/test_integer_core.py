@@ -61,3 +61,17 @@ def test_entry_modules_import_numpy_users_lazily(name):
         m for m in modules
         if m.split(".")[0] == "numpy" or {"experiment", "oracle"} & set(m.split("."))
     ]
+
+
+def test_only_stabilizer_imports_dataclasses_in_the_core():
+    """In the core, which ``import axiombox`` loads, ``dataclasses`` (which
+    loads ``inspect``) is imported for ``stabilizer.MeasurementResult`` alone;
+    the records of ``blackbox`` import ``FrozenInstanceError`` inside the
+    methods that raise it."""
+    package = Path(axiombox.__file__).parent
+    importers = [
+        name
+        for name in CORE
+        if "dataclasses" in top_level_imports(ast.parse((package / name).read_text()).body)
+    ]
+    assert importers == ["stabilizer.py"]

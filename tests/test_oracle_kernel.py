@@ -6,7 +6,9 @@ Kronecker/matmul oracle: every observable a dense 2^N x 2^N Kronecker product
 (:func:`dense_reference.observable_matrix`), the projector a chain of dense
 matmuls and each walk node a dense mat-vec.  ``projector_state_from_axioms`` and ``unpruned_distribution`` are the
 signed-permutation oracle before it scanned single basis vectors and cut zero
-branches: the whole projector built column by column, every walk leaf visited.
+branches: the whole projector built column by column, and every walk leaf
+visited, except below an exactly zero vector, whose leaves all have probability
+0.
 Every product in any version is an exact +-1 or +-i times a dyadic value (or
 an exactly rounded sum of two terms), so states and outcomes must be
 bit-identical, not merely close.  The shortcut test's name is that of the
@@ -92,6 +94,8 @@ def unpruned_distribution(state, obs_list):
     outcomes = {}
 
     def walk(vec, index, signs):
+        if not vec.any():  # every leaf below has probability 0, and is dropped
+            return
         if index == len(actions):
             prob = float(np.real(np.vdot(vec, vec)))
             if prob > 1e-15:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from axiombox import oracle, pauli
+from axiombox import experiment, oracle, pauli
 from axiombox import stabilizer as stab
 from axiombox.blackbox import BlackBoxConfig
 from axiombox.gf2 import BitVector
@@ -188,6 +188,24 @@ class TestMeasure:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             stab.measure(bell_state(), obs("+Z"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t, o: stab.measure(t, o, np.random.default_rng(0)),
+            lambda t, o: stab.measure_forced(t, o, 1),
+            lambda t, o: stab.joint_distribution(t, [obs("+ZZ"), o]),
+            lambda t, o: experiment.sample(t, [obs("+ZZ"), o], 10, 1),
+        ],
+        ids=["measure", "measure_forced", "joint_distribution", "sample"],
+    )
+    @pytest.mark.parametrize(
+        "bad", [pauli.PauliOperator.from_vector(vec("XX")), "+XX"], ids=["PauliOperator", "str"]
+    )
+    def test_non_signed_observable_raises_type_error(self, call, bad):
+        name = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^observable must be a SignedObservable, got {name}$"):
+            call(bell_state(), bad)
 
     def test_collapsed_state_matches_dense_projection(self):
         rng = np.random.default_rng(15)
